@@ -26,7 +26,6 @@
 //! | [`fig_sched`] | Load-aware vs first-fit placement, FPGA cold-start batching |
 //! | [`fig_comm`] | Adaptive nIPC data plane vs pinned XPUcall transports |
 //! | [`fig_tenancy`] | Antagonist flood vs weighted-fair tenancy isolation |
-//! | [`fig_engine`] | Event-core timer-storm throughput vs the legacy engine |
 //! | [`fig_density`] | High-density PUs: dense cfork PSS, DPU I/O offload p99, reclaim sweeps |
 
 pub mod ablations;
@@ -41,7 +40,6 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig_comm;
 pub mod fig_density;
-pub mod fig_engine;
 pub mod fig_fault;
 pub mod fig_rack;
 pub mod fig_sched;

@@ -30,8 +30,7 @@
 //! * [`regions`] — the gateway's directory of shared-state region hosts,
 //!   feeding the scheduler's state-locality placement term;
 //! * [`metrics`] — the latency recorder with the artifact's percentile
-//!   output format;
-//! * [`trace`] — phase-level request tracing over virtual time.
+//!   output format.
 
 pub mod baseline;
 pub mod billing;
@@ -48,7 +47,6 @@ pub mod proxy;
 pub mod regions;
 pub mod runtime;
 pub mod schedule;
-pub mod trace;
 
 pub use error::MoleculeError;
 pub use function::{ExecModel, FunctionDef, FunctionRegistry};

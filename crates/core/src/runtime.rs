@@ -282,11 +282,6 @@ impl Molecule {
     ///
     /// Propagates shim errors from the executor spawns.
     pub fn bootstrap(&self, ctx: &mut ProcCtx) -> Result<(), MoleculeError> {
-        // Shard the engine's pending-event structure per node, with calendar
-        // buckets sized to the interconnect's conservative lookahead. Purely
-        // a throughput tune: dispatch order is byte-identical either way.
-        let (pu_lanes, lookahead) = self.inner.machine.event_lane_plan();
-        ctx.tune_event_lanes(&pu_lanes, lookahead);
         telemetry::with(|r| {
             // Name one trace lane per PU so exports read "cpu0"/"dpu1"
             // instead of bare lane numbers.

@@ -11,18 +11,11 @@
 //!
 //! # Event core
 //!
-//! Pending events live in a flat arena and are indexed by per-lane
-//! hierarchical calendar queues (see [`queue`]): schedule and pop are O(1)
-//! for the near-future common case, with no per-event heap allocation on
-//! the [`Resume`](EventAction) and timer paths. Lanes shard the pending set
-//! (per node/PU-group when [`Simulation::tune_event_lanes`] is called) but
-//! are merged by exact `(time, seq)` order, so the dispatch sequence — and
-//! with it every [`SchedulePolicy`] consultation, [`ChoicePoint`] log and
-//! `SIMCHECK_REPLAY` blob — is byte-identical to a single global queue.
-//!
-//! For pure event-driven workloads that don't need a process stack, engine
-//! [timers](Simulation::add_timer) fire a reusable callback without waking
-//! any OS thread and re-arm without allocating.
+//! Pending events live in one binary heap keyed by `(time, seq)`. The pop
+//! order of that heap *is* the dispatch sequence, and with it every
+//! [`SchedulePolicy`] consultation, [`ChoicePoint`] log and
+//! `SIMCHECK_REPLAY` blob. Events a policy defers are re-inserted under
+//! their original keys.
 //!
 //! # Examples
 //!
@@ -43,7 +36,7 @@
 
 mod channel;
 mod process;
-pub mod queue;
+mod queue;
 mod schedule;
 mod semaphore;
 
@@ -89,9 +82,6 @@ pub(crate) struct YieldMsg {
 pub(crate) enum EventAction {
     /// Resume process `proc` if it is still blocked with wait generation `gen`.
     Resume { proc: ProcId, gen: u64, reason: ResumeReason },
-    /// Fire engine timer `timer` on the scheduler thread (no OS thread wake,
-    /// no allocation: the callback is registered once and re-armed in place).
-    Tick { timer: u32 },
     /// Run a closure on the scheduler thread (no engine lock held).
     Call(Box<dyn FnOnce() + Send>),
 }
@@ -105,7 +95,6 @@ impl fmt::Debug for EventAction {
                 .field("gen", gen)
                 .field("reason", reason)
                 .finish(),
-            EventAction::Tick { timer } => f.debug_struct("Tick").field("timer", timer).finish(),
             EventAction::Call(_) => f.write_str("Call(..)"),
         }
     }
@@ -122,9 +111,6 @@ pub(crate) struct ProcSlot {
     pub resume_tx: xchan::Sender<ResumeReason>,
     pub wait_gen: u64,
     pub state: ProcState,
-    /// Event lane this process's resume events are filed under (structural
-    /// only — never affects dispatch order).
-    pub event_lane: u32,
 }
 
 /// Generational slab of process slots, indexed directly by [`ProcId`]
@@ -160,14 +146,6 @@ impl ProcSlab {
         }
     }
 
-    pub fn get(&self, id: ProcId) -> Option<&ProcSlot> {
-        let e = self.entries.get(id.index() as usize)?;
-        if e.gen != id.generation() {
-            return None;
-        }
-        e.slot.as_ref()
-    }
-
     pub fn get_mut(&mut self, id: ProcId) -> Option<&mut ProcSlot> {
         let e = self.entries.get_mut(id.index() as usize)?;
         if e.gen != id.generation() {
@@ -191,20 +169,6 @@ impl ProcSlab {
     pub fn iter(&self) -> impl Iterator<Item = &ProcSlot> {
         self.entries.iter().filter_map(|e| e.slot.as_ref())
     }
-
-    fn event_lane(&self, id: ProcId) -> u32 {
-        self.get(id).map(|s| s.event_lane).unwrap_or(0)
-    }
-
-    /// Reassigns every live process's event lane round-robin by slab index
-    /// (used when the lane count changes).
-    fn relane(&mut self, lanes: u32) {
-        for (idx, e) in self.entries.iter_mut().enumerate() {
-            if let Some(slot) = e.slot.as_mut() {
-                slot.event_lane = idx as u32 % lanes.max(1);
-            }
-        }
-    }
 }
 
 pub(crate) struct EngineState {
@@ -213,38 +177,12 @@ pub(crate) struct EngineState {
     pub procs: ProcSlab,
     pub live: usize,
     trace: Option<Vec<String>>,
-    /// Event lane per PU id, installed by `tune_event_lanes`; empty until
-    /// a topology is wired (single-lane operation).
-    lane_of_pu: Vec<u32>,
-}
-
-/// Default log2 of the level-0 calendar bucket width (4.1 µs — the order of
-/// the machine's interconnect latencies).
-const DEFAULT_BUCKET_BITS: u32 = 12;
-
-/// Derives the calendar bucket width from the topology's conservative
-/// lookahead (its minimum link latency): one bucket ≈ one lookahead window,
-/// clamped to [512 ns, 65 µs].
-fn bucket_bits_for(lookahead: SimDuration) -> u32 {
-    let ns = lookahead.as_nanos().max(1);
-    (63 - u64::leading_zeros(ns)).clamp(9, 16)
 }
 
 impl EngineState {
-    /// Event lane an action is filed under. Structural only: lanes never
-    /// change pop order, so any mapping here is behavior-neutral.
-    fn lane_for(&self, action: &EventAction) -> usize {
-        match action {
-            EventAction::Resume { proc, .. } => self.procs.event_lane(*proc) as usize,
-            EventAction::Tick { timer } => *timer as usize,
-            EventAction::Call(_) => 0,
-        }
-    }
-
     pub(crate) fn schedule(&mut self, at: SimTime, action: EventAction) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        let lane = self.lane_for(&action);
-        self.events.push(lane, at.as_nanos(), action);
+        self.events.push(at.as_nanos(), action);
     }
 
     pub(crate) fn bump_gen(&mut self, proc: ProcId) -> u64 {
@@ -327,49 +265,14 @@ impl EngineShared {
         st.schedule(at, EventAction::Call(f));
     }
 
-    /// Re-shards the pending-event structure into `max(pu_lanes)+1` lanes
-    /// with calendar buckets sized to `lookahead`. Pending events are
-    /// re-filed under their original `(time, seq)` keys, so behavior is
-    /// unchanged.
-    pub(crate) fn tune_event_lanes(&self, pu_lanes: &[u32], lookahead: SimDuration) {
-        let mut st = self.state.lock();
-        let lanes = pu_lanes.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
-        let bucket_bits = bucket_bits_for(lookahead);
-        st.lane_of_pu = pu_lanes.to_vec();
-        st.procs.relane(lanes as u32);
-        let next_seq = st.events.next_seq();
-        let mut old =
-            std::mem::replace(&mut st.events, EventQueue::new(lanes, bucket_bits, next_seq));
-        while let Some((t, seq, _lane, action)) = old.pop() {
-            let lane = st.lane_for(&action);
-            st.events.push_at(lane, t, seq, action);
-        }
-    }
-
-    /// Files `proc`'s future resume events under the event lane of PU `pu`
-    /// (when a lane plan is installed). Structural only.
-    pub(crate) fn set_proc_event_lane(&self, proc: ProcId, pu: u16) {
-        let mut st = self.state.lock();
-        if let Some(&lane) = st.lane_of_pu.get(pu as usize) {
-            if let Some(slot) = st.procs.get_mut(proc) {
-                slot.event_lane = lane;
-            }
-        }
-    }
-
     fn register_proc(&self, name: &str, resume_tx: xchan::Sender<ResumeReason>) -> ProcId {
         let mut st = self.state.lock();
-        let lanes = st.events.lanes() as u32;
         let id = st.procs.insert(ProcSlot {
             name: name.to_owned(),
             resume_tx,
             wait_gen: 0,
             state: ProcState::Blocked,
-            event_lane: 0,
         });
-        if let Some(slot) = st.procs.get_mut(id) {
-            slot.event_lane = id.index() % lanes.max(1);
-        }
         st.live += 1;
         let now = st.now;
         st.schedule(now, EventAction::Resume { proc: id, gen: 0, reason: ResumeReason::Start });
@@ -428,40 +331,6 @@ pub struct RunReport {
     pub trace: Vec<String>,
 }
 
-/// Handle to an engine timer registered with [`Simulation::add_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u32);
-
-/// Context handed to a firing engine timer.
-///
-/// Timers are the allocation-free event path: the callback is registered
-/// once, fires on the scheduler thread (no process stack, no OS thread
-/// wake-up) and may re-arm itself in place.
-#[derive(Debug)]
-pub struct TimerCtx {
-    now: SimTime,
-    rearm: Option<SimTime>,
-}
-
-impl TimerCtx {
-    /// The virtual instant this timer is firing at.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Re-arms the timer to fire again at `at` (clamped to now).
-    pub fn rearm_at(&mut self, at: SimTime) {
-        self.rearm = Some(at);
-    }
-
-    /// Re-arms the timer to fire again `d` after the current firing.
-    pub fn rearm_after(&mut self, d: SimDuration) {
-        self.rearm = Some(self.now + d);
-    }
-}
-
-type TimerCallback = Box<dyn FnMut(&mut TimerCtx)>;
-
 /// A deterministic discrete-event simulation.
 ///
 /// See the [module documentation](self) for an overview and example.
@@ -472,7 +341,6 @@ pub struct Simulation {
     policy: Option<Box<dyn SchedulePolicy>>,
     choice_log: Vec<ChoicePoint>,
     step_observer: Option<Box<dyn FnMut()>>,
-    timers: Vec<Option<TimerCallback>>,
 }
 
 impl Default for Simulation {
@@ -489,11 +357,10 @@ impl Simulation {
             shared: Arc::new(EngineShared {
                 state: Mutex::new(EngineState {
                     now: SimTime::ZERO,
-                    events: EventQueue::new(1, DEFAULT_BUCKET_BITS, 0),
+                    events: EventQueue::new(),
                     procs: ProcSlab::new(),
                     live: 0,
                     trace: None,
-                    lane_of_pu: Vec::new(),
                 }),
                 yield_tx,
                 yield_rx,
@@ -503,7 +370,6 @@ impl Simulation {
             policy: None,
             choice_log: Vec::new(),
             step_observer: None,
-            timers: Vec::new(),
         }
     }
 
@@ -544,38 +410,6 @@ impl Simulation {
         self.shared.now()
     }
 
-    /// Re-shards pending events into per-PU-group lanes (`pu_lanes[pu]` maps
-    /// each PU id to a lane, typically its node) with calendar buckets sized
-    /// to the topology's conservative `lookahead` (minimum link latency).
-    ///
-    /// Purely structural: events are merged by exact `(time, seq)` order, so
-    /// results are byte-identical with any lane plan.
-    pub fn tune_event_lanes(&mut self, pu_lanes: &[u32], lookahead: SimDuration) {
-        self.shared.tune_event_lanes(pu_lanes, lookahead);
-    }
-
-    /// Registers an engine timer; it does nothing until
-    /// [`arm_timer`](Self::arm_timer) schedules its first firing.
-    ///
-    /// Timers fire on the scheduler thread with no process stack and re-arm
-    /// without allocating — the fast path for clocks, retransmits and other
-    /// pure event-driven load.
-    pub fn add_timer<F>(&mut self, f: F) -> TimerId
-    where
-        F: FnMut(&mut TimerCtx) + 'static,
-    {
-        let id = u32::try_from(self.timers.len()).expect("timer table overflow");
-        self.timers.push(Some(Box::new(f)));
-        TimerId(id)
-    }
-
-    /// Schedules the next firing of `timer` at `at` (clamped to now).
-    pub fn arm_timer(&mut self, timer: TimerId, at: SimTime) {
-        let mut st = self.shared.state.lock();
-        let at = at.max(st.now);
-        st.schedule(at, EventAction::Tick { timer: timer.0 });
-    }
-
     /// Creates an unbounded simulated channel.
     pub fn channel<T: Send + 'static>(&self) -> (SimSender<T>, SimReceiver<T>) {
         channel::channel(Arc::clone(&self.shared))
@@ -608,7 +442,7 @@ impl Simulation {
             let (now, action) = {
                 let mut st = self.shared.state.lock();
                 match st.events.pop() {
-                    Some((t_ns, seq, lane, action)) => {
+                    Some((t_ns, seq, action)) => {
                         let t = SimTime::from_nanos(t_ns);
                         debug_assert!(t >= st.now, "event queue went backwards");
                         st.now = t;
@@ -618,8 +452,8 @@ impl Simulation {
                                 // Pops come out in (time, seq) order, so the
                                 // batch is already seq-sorted and index 0 is
                                 // what the default tie-break would run.
-                                let mut batch = vec![(t_ns, seq, lane, action)];
-                                while st.events.peek().is_some_and(|(pt, _)| pt == t_ns) {
+                                let mut batch = vec![(t_ns, seq, action)];
+                                while st.events.peek_time() == Some(t_ns) {
                                     batch.push(st.events.pop().expect("peeked event vanished"));
                                 }
                                 let arity = batch.len();
@@ -633,10 +467,10 @@ impl Simulation {
                                 } else {
                                     0
                                 };
-                                let (_, _, _, action) = batch.remove(chosen);
+                                let (_, _, action) = batch.remove(chosen);
                                 // Deferred events keep their original keys.
-                                for (bt, bs, blane, baction) in batch {
-                                    st.events.push_at(blane, bt, bs, baction);
+                                for (bt, bs, baction) in batch {
+                                    st.events.push_at(bt, bs, baction);
                                 }
                                 action
                             }
@@ -666,17 +500,6 @@ impl Simulation {
             self.events_fired += 1;
             match action {
                 EventAction::Call(f) => f(),
-                EventAction::Tick { timer } => {
-                    let mut tctx = TimerCtx { now, rearm: None };
-                    if let Some(Some(cb)) = self.timers.get_mut(timer as usize) {
-                        cb(&mut tctx);
-                    }
-                    if let Some(at) = tctx.rearm {
-                        let mut st = self.shared.state.lock();
-                        let at = at.max(st.now);
-                        st.schedule(at, EventAction::Tick { timer });
-                    }
-                }
                 EventAction::Resume { proc, gen, reason } => {
                     let trace_on;
                     let tele_on = telemetry::engine_instants();
@@ -783,7 +606,6 @@ impl fmt::Debug for Simulation {
             .field("now", &st.now)
             .field("live_procs", &st.live)
             .field("pending_events", &st.events.len())
-            .field("event_lanes", &st.events.lanes())
             .finish()
     }
 }
@@ -1001,78 +823,32 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_rearm_without_procs() {
-        let fired = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut sim = Simulation::new();
-        let f1 = std::rc::Rc::clone(&fired);
-        let t1 = sim.add_timer(move |tc| {
-            f1.borrow_mut().push(("a", tc.now().as_nanos()));
-            if tc.now().as_nanos() < 3_000 {
-                tc.rearm_after(SimDuration::from_micros(1));
-            }
-        });
-        let f2 = std::rc::Rc::clone(&fired);
-        let t2 = sim.add_timer(move |tc| {
-            f2.borrow_mut().push(("b", tc.now().as_nanos()));
-        });
-        sim.arm_timer(t1, SimTime::from_nanos(1_000));
-        sim.arm_timer(t2, SimTime::from_nanos(2_500));
-        let report = sim.run().unwrap();
-        assert_eq!(*fired.borrow(), vec![("a", 1_000), ("a", 2_000), ("b", 2_500), ("a", 3_000)]);
-        assert_eq!(report.end_time, SimTime::from_nanos(3_000));
-        assert_eq!(report.events_fired, 4);
-    }
-
-    #[test]
-    fn lane_tuning_does_not_change_behavior() {
-        // The same program with 1 lane and with 8 lanes + retune mid-setup
-        // must produce identical traces, end times and event counts.
-        let run = |lanes: bool| {
+    fn fifo_policy_defers_same_instant_events_under_their_original_keys() {
+        // Eight processes start together at t=0 and sleep to one shared
+        // instant. Each pick puts the rest of its batch back in the heap, so
+        // the run only matches the policy-free one if every deferred event
+        // comes back at its original instant and in its original order.
+        let run = |policy: bool| {
             let mut sim = Simulation::new();
             sim.enable_trace();
-            if lanes {
-                sim.tune_event_lanes(&[0, 1, 2, 3, 4, 5, 6, 7], SimDuration::from_micros(3));
+            if policy {
+                sim.set_schedule_policy(Box::new(FifoSeqPolicy));
             }
-            let (tx, rx) = sim.channel::<u32>();
-            for i in 0..6u32 {
-                let tx = tx.clone();
-                sim.spawn(&format!("w{i}"), move |ctx| {
-                    ctx.sleep(SimDuration::from_micros((i as u64 * 7) % 5));
-                    tx.send(i).unwrap();
-                    ctx.sleep(SimDuration::from_micros(2));
-                });
+            for i in 0..8 {
+                sim.spawn(&format!("p{i}"), |ctx| ctx.sleep(SimDuration::from_micros(10)));
             }
-            drop(tx);
-            let h = sim.spawn("reader", move |ctx| {
-                let mut got = Vec::new();
-                while let Ok(v) = rx.recv(ctx) {
-                    got.push(v);
-                }
-                got
-            });
             let report = sim.run().unwrap();
-            (report.trace, report.end_time, report.events_fired, h.take_result().unwrap())
+            let log: Vec<(u32, u32)> =
+                sim.take_choice_log().iter().map(|c| (c.arity, c.chosen)).collect();
+            (report, log)
         };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn retune_mid_run_preserves_pending_events() {
-        let mut sim = Simulation::new();
-        let h = sim.spawn("sleeper", |ctx| {
-            ctx.sleep(SimDuration::from_millis(5));
-            ctx.now()
-        });
-        // Retune while the sleeper's resume event is pending: it must be
-        // re-filed under its original key and still fire at 5 ms.
-        let shared = Arc::clone(&sim.shared);
-        let lanes = vec![0, 0, 1, 1];
-        sim.spawn("tuner", move |ctx| {
-            ctx.sleep(SimDuration::from_micros(1));
-            let _ = &shared;
-            shared.tune_event_lanes(&lanes, SimDuration::from_micros(8));
-        });
-        sim.run().unwrap();
-        assert_eq!(h.take_result(), Some(SimTime::from_nanos(5_000_000)));
+        let (plain, no_choices) = run(false);
+        let (fifo, log) = run(true);
+        assert_eq!(fifo, plain, "FifoSeqPolicy changed the resume trace");
+        assert!(no_choices.is_empty());
+        // One tie round for the eight starts at t=0, one for the eight wakes
+        // at 10 µs.
+        let round: Vec<(u32, u32)> = (2..=8).rev().map(|arity| (arity, 0)).collect();
+        assert_eq!(log, [round.clone(), round].concat());
     }
 }

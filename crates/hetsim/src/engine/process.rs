@@ -108,20 +108,10 @@ impl ProcCtx {
         self.lane.get()
     }
 
-    /// Pins this process's telemetry events to lane `lane` (a PU id). When
-    /// an event-lane plan is installed (see
-    /// [`tune_event_lanes`](Self::tune_event_lanes)), the process's resume
-    /// events also move to that PU's event lane (structural only — lane
-    /// placement never changes dispatch order).
+    /// Pins this process's telemetry events to lane `lane` (a PU id).
+    /// Telemetry only: it takes no engine lock and never affects dispatch.
     pub fn set_lane(&self, lane: u16) {
         self.lane.set(lane);
-        self.shared.set_proc_event_lane(self.proc, lane);
-    }
-
-    /// Re-shards the engine's pending-event structure per PU group; see
-    /// [`Simulation::tune_event_lanes`](super::Simulation::tune_event_lanes).
-    pub fn tune_event_lanes(&self, pu_lanes: &[u32], lookahead: SimDuration) {
-        self.shared.tune_event_lanes(pu_lanes, lookahead);
     }
 
     /// Suspends the process for `d` of virtual time.

@@ -1,597 +1,77 @@
-//! The engine's event core: a flat event arena plus sharded hierarchical
-//! calendar queues (timing wheels), merged deterministically by `(time, seq)`.
+//! The engine's pending-event set: one binary heap keyed by `(time, seq)`.
 //!
-//! This replaces the seed engine's single `BinaryHeap<Reverse<ScheduledEvent>>`.
-//! Three structures cooperate:
-//!
-//! * [`EventQueue`] — the public facade. Events are pushed into a *lane*
-//!   (per-node or per-PU-group shard) and popped globally in exact
-//!   `(time, seq)` order, so the pop sequence is byte-identical to the old
-//!   global heap no matter how events are spread across lanes.
-//! * A flat **event arena** — a slab of event slots with a free-list.
-//!   Payloads live in the slab; wheels only move `u32` slot indices around,
-//!   so scheduling does no per-event heap allocation once the slab and
-//!   buckets are warm. Cancellation tombstones the slot in O(1).
-//! * One **hierarchical timing wheel** per lane — 4 levels × 64 slots of
-//!   geometrically coarser buckets, occupancy bitmaps (`trailing_zeros` to
-//!   find the next non-empty bucket), a tiny [`BinaryHeap`] for the
-//!   *current* bucket only (exact intra-bucket ordering), a one-event head
-//!   stash (O(1) peek), and an overflow list for events beyond the top
-//!   level's horizon (rebased and reinserted when reached).
-//!
-//! Schedule and pop are O(1) for the near-future common case; the heap only
-//!  ever holds one bucket's worth of events, not the whole future.
-//!
-//! # Determinism
-//!
-//! Lanes are purely structural. [`EventQueue::pop`] always returns the
-//! globally minimal `(time, seq)` key: a cached run-ahead lane plus the
-//! second-minimum head of all *other* lanes (tightened on every insert)
-//! avoids rescanning every lane per pop, but never changes which event wins.
-//! Property tests (`tests/engine_queue_props.rs`) check equivalence against
-//! a `BinaryHeap` reference model under arbitrary interleavings.
+//! `seq` is a monotone counter assigned at schedule time and unique per
+//! event, so keys are totally ordered and same-instant ties resolve in
+//! schedule order — the engine's determinism rule.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Number of wheel levels per lane.
-const LEVELS: usize = 4;
-/// log2 of slots per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level (64 ⇒ one occupancy bitmap word per level).
-const SLOTS: usize = 1 << SLOT_BITS;
-
-/// Sort key of a scheduled event: `(time in ns, global sequence)`.
-///
-/// `seq` is unique per event, so keys are totally ordered and ties at the
-/// same instant resolve by schedule order — the engine's determinism rule.
-pub type EventKey = (u64, u64);
-
-/// Handle to a pending event, returned by [`EventQueue::push`]; lets the
-/// holder cancel the event in O(1) without searching any structure.
-///
-/// The handle is generation-checked: cancelling after the event already
-/// fired (or was cancelled) is a safe no-op returning `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventHandle {
-    lane: u32,
-    idx: u32,
-    gen: u32,
-}
-
-/// One slab slot. `payload: None` while allocated means the event was
-/// cancelled: the wheel still holds the index and frees it lazily on pop.
-struct ArenaSlot<T> {
-    gen: u32,
-    live: bool,
+/// One pending event, ordered by *reversed* `(time, seq)` so the max-heap
+/// pops the earliest event first.
+struct Entry<T> {
     time: u64,
     seq: u64,
-    payload: Option<T>,
+    payload: T,
 }
 
-/// Flat event arena: slab + free-list. Wheels store `u32` indices into it.
-struct Arena<T> {
-    slots: Vec<ArenaSlot<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> Arena<T> {
-    fn new() -> Self {
-        Arena { slots: Vec::new(), free: Vec::new() }
-    }
-
-    fn alloc(&mut self, time: u64, seq: u64, payload: T) -> (u32, u32) {
-        if let Some(idx) = self.free.pop() {
-            let s = &mut self.slots[idx as usize];
-            debug_assert!(!s.live);
-            s.live = true;
-            s.time = time;
-            s.seq = seq;
-            s.payload = Some(payload);
-            (idx, s.gen)
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("event arena overflow");
-            self.slots.push(ArenaSlot { gen: 0, live: true, time, seq, payload: Some(payload) });
-            (idx, 0)
-        }
-    }
-
-    #[inline]
-    fn key(&self, idx: u32) -> (u64, u64) {
-        let s = &self.slots[idx as usize];
-        (s.time, s.seq)
-    }
-
-    #[inline]
-    fn is_cancelled(&self, idx: u32) -> bool {
-        self.slots[idx as usize].payload.is_none()
-    }
-
-    /// Takes the payload (tombstoning the slot) if the handle is current.
-    fn cancel(&mut self, idx: u32, gen: u32) -> Option<T> {
-        let s = self.slots.get_mut(idx as usize)?;
-        if !s.live || s.gen != gen {
-            return None;
-        }
-        s.payload.take()
-    }
-
-    /// Frees a slot the wheel no longer references; returns its payload
-    /// (`None` if it was a cancellation tombstone).
-    fn release(&mut self, idx: u32) -> Option<T> {
-        let s = &mut self.slots[idx as usize];
-        debug_assert!(s.live);
-        s.live = false;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(idx);
-        s.payload.take()
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
     }
 }
 
-/// Bits strictly above position `i` in a 64-bit occupancy word.
-#[inline]
-fn bits_above(i: u32) -> u64 {
-    if i >= 63 {
-        0
-    } else {
-        !0u64 << (i + 1)
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
-/// One lane's hierarchical timing wheel over the shared arena.
-///
-/// `base` is a lower bound (in ns) on every pending event's time. An event
-/// is placed at the finest level whose *parent* window still contains both
-/// the event and `base`; this keeps each level's 64-slot bitmap wrap-free,
-/// so "next non-empty bucket" is a single `trailing_zeros`. Events beyond
-/// the top level's horizon go to `overflow` and are rebased when reached.
-struct Wheel {
-    /// log2 of the level-0 bucket width in ns (derived from lookahead).
-    bucket_bits: u32,
-    /// Lower bound on all pending event times, in ns.
-    base: u64,
-    /// Exact-order heap for the *current* bucket only.
-    cur: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// `LEVELS * SLOTS` buckets of arena indices, flattened.
-    buckets: Vec<Vec<u32>>,
-    /// One occupancy bitmap word per level.
-    occupied: [u64; LEVELS],
-    /// Events beyond the top level's horizon.
-    overflow: Vec<u32>,
-    /// Stash of the minimal pending event: `Some` iff the wheel holds any
-    /// index (including tombstones). Makes peek O(1).
-    head: Option<(u64, u64, u32)>,
-}
-
-impl Wheel {
-    fn new(bucket_bits: u32) -> Self {
-        Wheel {
-            bucket_bits,
-            base: 0,
-            cur: BinaryHeap::new(),
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            overflow: Vec::new(),
-            head: None,
-        }
-    }
-
-    fn insert(&mut self, time: u64, seq: u64, idx: u32) {
-        match self.head {
-            None => {
-                // Empty wheel: event becomes the head; base may rewind
-                // (e.g. after a requeue) as long as nothing else is pending.
-                self.base = self.base.min(time);
-                self.head = Some((time, seq, idx));
-            }
-            Some(h) if (time, seq) < (h.0, h.1) => {
-                self.head = Some((time, seq, idx));
-                self.place(h.0, h.1, h.2);
-            }
-            Some(_) => self.place(time, seq, idx),
-        }
-    }
-
-    /// Files an index into cur/levels/overflow.
-    ///
-    /// `time < base` is legal (base may have advanced past `now` while
-    /// refilling; a handler can then schedule a near-now event): such
-    /// events take the `s <= b` branch into `cur`, which refill drains
-    /// before advancing `base`, so order is preserved.
-    fn place(&mut self, time: u64, seq: u64, idx: u32) {
-        let s = time >> self.bucket_bits;
-        let b = self.base >> self.bucket_bits;
-        if s <= b {
-            self.cur.push(Reverse((time, seq, idx)));
-            return;
-        }
-        for k in 0..LEVELS as u32 {
-            // Finest level whose parent window contains both event and base:
-            // guarantees slot index > base's slot index (no bitmap wrap).
-            if (s >> (SLOT_BITS * (k + 1))) == (b >> (SLOT_BITS * (k + 1))) {
-                let slot = ((s >> (SLOT_BITS * k)) & (SLOTS as u64 - 1)) as usize;
-                self.buckets[k as usize * SLOTS + slot].push(idx);
-                self.occupied[k as usize] |= 1u64 << slot;
-                return;
-            }
-        }
-        self.overflow.push(idx);
-    }
-
-    /// Minimal pending key, pruning cancellation tombstones encountered at
-    /// the head. `None` iff the wheel is empty.
-    fn peek<T>(&mut self, arena: &mut Arena<T>) -> Option<(u64, u64)> {
-        loop {
-            let (t, seq, idx) = self.head?;
-            if !arena.is_cancelled(idx) {
-                return Some((t, seq));
-            }
-            self.head = None;
-            arena.release(idx);
-            self.refill(arena);
-        }
-    }
-
-    /// Pops the minimal live event; `None` iff the wheel is empty.
-    fn pop<T>(&mut self, arena: &mut Arena<T>) -> Option<(u64, u64, T)> {
-        loop {
-            let (t, seq, idx) = self.head.take()?;
-            self.refill(arena);
-            if let Some(payload) = arena.release(idx) {
-                return Some((t, seq, payload));
-            }
-        }
-    }
-
-    /// Restores the head invariant after it was consumed: advances `base`
-    /// bucket by bucket (bitmap-guided, cascading coarser levels down)
-    /// until an event is found or the wheel is proven empty.
-    fn refill<T>(&mut self, arena: &mut Arena<T>) {
-        debug_assert!(self.head.is_none());
-        loop {
-            if let Some(Reverse(top)) = self.cur.pop() {
-                self.head = Some(top);
-                return;
-            }
-            let b = self.base >> self.bucket_bits;
-            // Level 0: jump straight to the next occupied bucket in window.
-            let ahead0 = self.occupied[0] & bits_above((b & (SLOTS as u64 - 1)) as u32);
-            if ahead0 != 0 {
-                let slot = ahead0.trailing_zeros();
-                self.base = (((b >> SLOT_BITS) << SLOT_BITS) | u64::from(slot)) << self.bucket_bits;
-                self.occupied[0] &= !(1u64 << slot);
-                // Drained into `cur` only, so the bucket can't be refilled
-                // mid-drain; handing the Vec back keeps its capacity (the
-                // steady-state loop must not allocate per bucket crossing).
-                let mut v = std::mem::take(&mut self.buckets[slot as usize]);
-                for &idx in &v {
-                    let (t, s) = arena.key(idx);
-                    self.cur.push(Reverse((t, s, idx)));
-                }
-                v.clear();
-                self.buckets[slot as usize] = v;
-                continue;
-            }
-            // Coarser levels: cascade the next occupied bucket down.
-            let mut cascaded = false;
-            for k in 1..LEVELS as u32 {
-                let bk = ((b >> (SLOT_BITS * k)) & (SLOTS as u64 - 1)) as u32;
-                let ahead = self.occupied[k as usize] & bits_above(bk);
-                if ahead != 0 {
-                    let slot = ahead.trailing_zeros();
-                    let upper = (b >> (SLOT_BITS * (k + 1))) << (SLOT_BITS * (k + 1));
-                    self.base = (upper | (u64::from(slot) << (SLOT_BITS * k))) << self.bucket_bits;
-                    self.occupied[k as usize] &= !(1u64 << slot);
-                    let bi = k as usize * SLOTS + slot as usize;
-                    // Cascading re-places only into strictly finer levels
-                    // (base now shares this slot's window), never back into
-                    // `bi`, so the capacity hand-back below cannot clobber
-                    // newly filed events.
-                    let mut v = std::mem::take(&mut self.buckets[bi]);
-                    for &idx in &v {
-                        let (t, s) = arena.key(idx);
-                        self.place(t, s, idx);
-                    }
-                    debug_assert!(self.buckets[bi].is_empty());
-                    v.clear();
-                    self.buckets[bi] = v;
-                    cascaded = true;
-                    break;
-                }
-            }
-            if cascaded {
-                continue;
-            }
-            if !self.overflow.is_empty() {
-                // Beyond the top horizon: rebase at the overflow minimum and
-                // re-file everything (the minimum lands in `cur`).
-                let min_t = self
-                    .overflow
-                    .iter()
-                    .map(|&idx| arena.key(idx).0)
-                    .min()
-                    .expect("non-empty overflow");
-                self.base = min_t;
-                let v = std::mem::take(&mut self.overflow);
-                for idx in v {
-                    let (t, s) = arena.key(idx);
-                    self.place(t, s, idx);
-                }
-                continue;
-            }
-            return; // truly empty; head stays None
-        }
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
-/// Sharded, deterministic event queue: per-lane timing wheels over one flat
-/// arena, popped in exact global `(time, seq)` order.
-pub struct EventQueue<T> {
-    arena: Arena<T>,
-    wheels: Vec<Wheel>,
+/// Pending events, popped in exact `(time in ns, seq)` order.
+pub(crate) struct EventQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    live: usize,
-    /// Run-ahead cache: pops come from `run_lane` without scanning the
-    /// others while its head stays ≤ `other_min` (the minimal head among
-    /// all *other* lanes, tightened by inserts, never loosened by pops).
-    run_lane: usize,
-    other_min: EventKey,
-    run_valid: bool,
 }
 
 impl<T> EventQueue<T> {
-    /// A queue with `lanes` shards (≥1) and level-0 buckets of
-    /// `2^bucket_bits` ns; `first_seq` seeds the sequence counter.
-    pub fn new(lanes: usize, bucket_bits: u32, first_seq: u64) -> Self {
-        let lanes = lanes.max(1);
-        EventQueue {
-            arena: Arena::new(),
-            wheels: (0..lanes).map(|_| Wheel::new(bucket_bits)).collect(),
-            next_seq: first_seq,
-            live: 0,
-            run_lane: 0,
-            other_min: (u64::MAX, u64::MAX),
-            run_valid: false,
-        }
+    pub(crate) fn new() -> Self {
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.wheels.len()
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
     }
 
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no live events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The sequence number the next [`push`](Self::push) will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Schedules `payload` at `time` ns in `lane`, assigning the next
-    /// sequence number. Returns the assigned seq and a cancel handle.
-    pub fn push(&mut self, lane: usize, time: u64, payload: T) -> (u64, EventHandle) {
+    /// Schedules `payload` at `time` ns under the next sequence number.
+    pub(crate) fn push(&mut self, time: u64, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let h = self.push_at(lane, time, seq, payload);
-        (seq, h)
+        self.push_at(time, seq, payload);
     }
 
-    /// Re-inserts an event with an explicit (already-assigned) sequence
-    /// number — used when a schedule policy defers same-instant events; the
-    /// deferred events keep their original keys. Does not advance the
-    /// sequence counter.
-    pub fn push_at(&mut self, lane: usize, time: u64, seq: u64, payload: T) -> EventHandle {
-        let lane = lane % self.wheels.len();
-        let (idx, gen) = self.arena.alloc(time, seq, payload);
-        self.wheels[lane].insert(time, seq, idx);
-        self.live += 1;
-        if self.run_valid && lane != self.run_lane && (time, seq) < self.other_min {
-            self.other_min = (time, seq);
-        }
-        EventHandle { lane: lane as u32, idx, gen }
+    /// Re-inserts an event under its already-assigned key — used when a
+    /// schedule policy defers same-instant events, which must keep their
+    /// original keys. Does not advance the sequence counter.
+    pub(crate) fn push_at(&mut self, time: u64, seq: u64, payload: T) {
+        self.heap.push(Entry { time, seq, payload });
     }
 
-    /// Key of the globally minimal pending event, without popping it.
-    pub fn peek(&mut self) -> Option<EventKey> {
-        if self.run_valid {
-            let EventQueue { arena, wheels, .. } = self;
-            if let Some(k) = wheels[self.run_lane].peek(arena) {
-                if k <= self.other_min {
-                    return Some(k);
-                }
-            }
-        }
-        self.rescan();
-        if !self.run_valid {
-            return None;
-        }
-        let EventQueue { arena, wheels, .. } = self;
-        wheels[self.run_lane].peek(arena)
+    /// Time of the earliest pending event, without popping it.
+    pub(crate) fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Pops the globally minimal pending event as
-    /// `(time, seq, lane, payload)`.
-    pub fn pop(&mut self) -> Option<(u64, u64, usize, T)> {
-        if self.run_valid {
-            let run = self.run_lane;
-            let EventQueue { arena, wheels, other_min, .. } = self;
-            if let Some(k) = wheels[run].peek(arena) {
-                if k <= *other_min {
-                    let (t, s, p) = wheels[run].pop(arena).expect("peeked head vanished");
-                    self.live -= 1;
-                    return Some((t, s, run, p));
-                }
-            }
-        }
-        self.rescan();
-        if !self.run_valid {
-            return None;
-        }
-        let run = self.run_lane;
-        let EventQueue { arena, wheels, .. } = self;
-        let (t, s, p) = wheels[run].pop(arena).expect("rescan found a head");
-        self.live -= 1;
-        Some((t, s, run, p))
-    }
-
-    /// Cancels a pending event in O(1); returns its payload if it was
-    /// still pending (stale handles return `None`).
-    pub fn cancel(&mut self, h: EventHandle) -> Option<T> {
-        let p = self.arena.cancel(h.idx, h.gen)?;
-        self.live -= 1;
-        Some(p)
-    }
-
-    /// Recomputes the run-ahead cache: the lane holding the global minimum
-    /// and the second-minimum head among the remaining lanes.
-    fn rescan(&mut self) {
-        let EventQueue { arena, wheels, .. } = self;
-        let mut best: Option<(EventKey, usize)> = None;
-        let mut second = (u64::MAX, u64::MAX);
-        for (i, w) in wheels.iter_mut().enumerate() {
-            if let Some(k) = w.peek(arena) {
-                match best {
-                    None => best = Some((k, i)),
-                    Some((bk, _)) if k < bk => {
-                        second = bk;
-                        best = Some((k, i));
-                    }
-                    Some(_) => {
-                        if k < second {
-                            second = k;
-                        }
-                    }
-                }
-            }
-        }
-        match best {
-            Some((_, lane)) => {
-                self.run_lane = lane;
-                self.other_min = second;
-                self.run_valid = true;
-            }
-            None => {
-                self.run_valid = false;
-                self.other_min = (u64::MAX, u64::MAX);
-            }
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for EventQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("lanes", &self.wheels.len())
-            .field("pending", &self.live)
-            .field("next_seq", &self.next_seq)
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u64, u32)> {
-        let mut out = Vec::new();
-        while let Some((t, s, _lane, p)) = q.pop() {
-            out.push((t, s, p));
-        }
-        out
-    }
-
-    #[test]
-    fn pops_in_time_then_seq_order_single_lane() {
-        let mut q = EventQueue::new(1, 12, 0);
-        q.push(0, 500, 1);
-        q.push(0, 100, 2);
-        q.push(0, 100, 3);
-        q.push(0, 0, 4);
-        let got = drain(&mut q);
-        assert_eq!(got, vec![(0, 3, 4), (100, 1, 2), (100, 2, 3), (500, 0, 1)]);
-    }
-
-    #[test]
-    fn lanes_do_not_change_pop_order() {
-        // Same schedule spread over 1 vs 5 lanes must pop identically.
-        let times = [7_000u64, 3, 3, 900_000, 64 << 12, 0, (200u64) << 18, 7_000];
-        let mut a = EventQueue::new(1, 12, 0);
-        let mut b = EventQueue::new(5, 12, 0);
-        for (i, &t) in times.iter().enumerate() {
-            a.push(0, t, i as u32);
-            b.push(i % 5, t, i as u32);
-        }
-        assert_eq!(drain(&mut a), drain(&mut b));
-    }
-
-    #[test]
-    fn far_future_overflow_and_rebase() {
-        let mut q = EventQueue::new(2, 9, 0);
-        // Beyond the top-level horizon of 2^(9+24) ns — lands in overflow.
-        let far = 1u64 << 40;
-        q.push(0, far, 1);
-        q.push(1, far + 3, 2);
-        q.push(0, 10, 3);
-        assert_eq!(q.pop().unwrap(), (10, 2, 0, 3));
-        assert_eq!(q.pop().unwrap(), (far, 0, 0, 1));
-        assert_eq!(q.pop().unwrap(), (far + 3, 1, 1, 2));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_is_o1_and_stale_handles_are_noops() {
-        let mut q = EventQueue::new(2, 12, 0);
-        let (_, h1) = q.push(0, 100, 1);
-        q.push(1, 200, 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(h1), Some(1));
-        assert_eq!(q.cancel(h1), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().3, 2);
-        assert_eq!(q.cancel(h1), None, "stale handle after slot reuse");
-    }
-
-    #[test]
-    fn push_at_preserves_deferred_keys() {
-        let mut q = EventQueue::new(2, 12, 0);
-        q.push(0, 50, 10);
-        q.push(1, 50, 11);
-        let (t, s, lane, p) = q.pop().unwrap();
-        assert_eq!((t, s, p), (50, 0, 10));
-        // Defer it (policy chose the other event first), then re-insert.
-        q.push_at(lane, t, s, p);
-        assert_eq!(q.pop().unwrap(), (50, 0, 0, 10));
-        assert_eq!(q.pop().unwrap(), (50, 1, 1, 11));
-        assert_eq!(q.next_seq(), 2, "push_at must not advance seq");
-    }
-
-    #[test]
-    fn interleaved_push_pop_keeps_global_order() {
-        let mut q = EventQueue::new(3, 10, 0);
-        q.push(0, 1000, 1);
-        q.push(1, 2000, 2);
-        assert_eq!(q.pop().unwrap().3, 1);
-        // Insert into a non-run lane with an earlier key than the cached
-        // run lane's head: the other_min tightening must catch it.
-        q.push(2, 1500, 3);
-        assert_eq!(q.pop().unwrap().3, 3);
-        assert_eq!(q.pop().unwrap().3, 2);
-    }
-
-    #[test]
-    fn empty_queue_reports_empty() {
-        let mut q = EventQueue::<u32>::new(4, 12, 7);
-        assert!(q.is_empty());
-        assert_eq!(q.peek(), None);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.next_seq(), 7);
+    /// Pops the earliest pending event as `(time, seq, payload)`.
+    pub(crate) fn pop(&mut self) -> Option<(u64, u64, T)> {
+        self.heap.pop().map(|e| (e.time, e.seq, e.payload))
     }
 }

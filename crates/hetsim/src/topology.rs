@@ -513,22 +513,6 @@ impl Machine {
         self.pus.iter().map(|p| p.id).filter(|&id| self.node_of(id) == node).collect()
     }
 
-    /// The engine event-lane plan for this topology: one event lane per
-    /// node (`plan[pu] = node id`), plus the conservative lookahead — the
-    /// minimum link latency, i.e. the soonest any PU can causally affect
-    /// another. The engine sizes its calendar buckets from the lookahead;
-    /// correctness never depends on it (lanes merge by exact `(time, seq)`).
-    pub fn event_lane_plan(&self) -> (Vec<u32>, SimDuration) {
-        let lanes = self.pus.iter().map(|p| u32::from(self.node_of(p.id).raw())).collect();
-        let lookahead = self
-            .links
-            .values()
-            .map(|l| l.latency)
-            .min()
-            .unwrap_or_else(|| SimDuration::from_micros(2));
-        (lanes, lookahead)
-    }
-
     /// True when both PUs live on the same node (intra-machine traffic).
     pub fn same_node(&self, a: PuId, b: PuId) -> bool {
         self.node_of(a) == self.node_of(b)

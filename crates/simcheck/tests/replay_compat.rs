@@ -1,13 +1,14 @@
 //! Replay-blob compatibility: `SIMCHECK_REPLAY` artifacts recorded against
-//! the pre-overhaul engine (global `BinaryHeap` event queue) must drive the
-//! current engine through byte-identical schedules.
+//! an earlier engine must drive the current engine through byte-identical
+//! schedules.
 //!
-//! The golden data below was captured by running the fixed scenario under
-//! the seed engine (PR 9's parent commit) with each blob installed as a
-//! `ReplayPolicy` and recording the resulting choice log and observed
-//! message order. The event-queue overhaul (sharded calendar lanes over a
-//! flat arena) must preserve `(time, seq)` pop order exactly, so the same
-//! blobs must keep producing the same logs forever.
+//! The golden data below was captured by running the fixed scenario on an
+//! engine whose pending events sat in one `BinaryHeap` keyed by
+//! `(time, seq)`, with each blob installed as a `ReplayPolicy`, recording
+//! the resulting choice log and observed message order. Any event-queue
+//! change must preserve that `(time, seq)` pop order exactly, and the
+//! re-insertion of policy-deferred events under their original keys, so
+//! the same blobs must keep producing the same logs forever.
 
 use molecule_simcheck::explore::{decode_replay, encode_replay};
 use molecule_simcheck::ReplayPolicy;

@@ -142,60 +142,6 @@ fn rack_bench_json_and_chaos_log_are_byte_identical_across_processes() {
     assert_eq!(a, b, "two OS processes disagreed on the same seeded rack run");
 }
 
-/// The engine probe a child process runs: the fixed-size timer storm on
-/// the overhauled event core, single-lane and sharded, plus the legacy
-/// cost-model emulation — all three must agree on events fired, virtual
-/// end time and the order-sensitive fire checksum, and the whole payload
-/// must be byte-identical across OS processes (the event arena, lane
-/// merge and timing wheels use no process-varying state).
-fn engine_child_payload() -> String {
-    let single = bench::fig_engine::probe_line();
-    let sharded = bench::fig_engine::run_timer_storm(
-        bench::fig_engine::PROBE_TIMERS,
-        bench::fig_engine::PROBE_TICKS,
-        bench::fig_engine::STORM_LANES,
-    );
-    let legacy = bench::fig_engine::run_legacy_storm(
-        bench::fig_engine::PROBE_TIMERS,
-        bench::fig_engine::PROBE_TICKS,
-    );
-    format!(
-        "single {single}\n\
-         sharded events={} end_ns={} checksum={:016x}\n\
-         legacy events={} end_ns={} checksum={:016x}\n",
-        sharded.events,
-        sharded.end_ns,
-        sharded.checksum,
-        legacy.events,
-        legacy.end_ns,
-        legacy.checksum,
-    )
-}
-
-#[test]
-fn engine_timer_storm_is_byte_identical_across_processes() {
-    if std::env::var_os(CHILD_ENV).is_some() {
-        println!("{BEGIN_MARK}");
-        print!("{}", engine_child_payload());
-        println!("{END_MARK}");
-        return;
-    }
-    let name = "engine_timer_storm_is_byte_identical_across_processes";
-    let a = run_child(name);
-    let b = run_child(name);
-    assert!(a.contains("single events="), "payload lost the engine probe: {a}");
-    assert_eq!(a, b, "two OS processes disagreed on the same timer storm");
-    // The three configurations inside one payload must agree with each
-    // other too: sharding and the legacy core are observationally
-    // equivalent orderings of the same schedule.
-    let checksums: Vec<&str> = a.lines().filter_map(|l| l.split("checksum=").nth(1)).collect();
-    assert_eq!(checksums.len(), 3, "payload lost a probe line: {a}");
-    assert!(
-        checksums.windows(2).all(|w| w[0] == w[1]),
-        "engine/sharded/legacy fire orders diverged: {a}"
-    );
-}
-
 #[test]
 fn chaos_log_and_bench_json_are_byte_identical_across_processes() {
     if std::env::var_os(CHILD_ENV).is_some() {
