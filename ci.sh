@@ -8,6 +8,13 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Benchmark build-contract stage: the benchmark package (its own workspace
+# under benchmark/) must stay formatted and lint-clean against the repo's
+# current public APIs, and `--locked` fails if a repo change would rewrite
+# benchmark/Cargo.lock.
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --locked --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 # Fault-matrix smoke stage: the chaos crate's plan/injector/scenario and
 # property tests, plus the seeded crash-recovery e2e whose replay assertion
 # (same seed ⇒ byte-identical event log) gates determinism.

@@ -31,7 +31,6 @@ pub struct DensityRow {
 pub fn density() -> Vec<DensityRow> {
     let machine = Machine::paper_cpu_dpu_server();
     let sched = Scheduler::default();
-    let func = FuncId::new("sb-image-process");
     let configs: [(&str, Vec<PuId>, u64); 3] = [
         ("CPU", vec![PuId(0)], 1000),
         ("+1 DPU", vec![PuId(0), PuId(1)], 1256),
@@ -40,7 +39,7 @@ pub fn density() -> Vec<DensityRow> {
     configs
         .into_iter()
         .map(|(config, pus, paper)| {
-            let measured = sched.pack_until_full(&machine, &func, &pus);
+            let measured = sched.pack_until_full(&machine, &pus);
             sched.release_packed(&machine, &pus);
             DensityRow { config, paper, measured }
         })

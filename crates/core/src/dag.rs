@@ -138,33 +138,6 @@ fn decode_msg(msg: &Bytes) -> (SimTime, u64) {
     (SimTime::from_nanos(sent), hop)
 }
 
-/// Plans a chain: places every stage with the given scheduler (chain
-/// co-location by default, §5 "Profile selections") and returns a ready
-/// [`ChainSpec`].
-///
-/// # Errors
-///
-/// Unknown functions or [`MoleculeError::NoCapacity`] from placement.
-pub fn plan_chain(
-    molecule: &Molecule,
-    scheduler: &crate::schedule::Scheduler,
-    name: impl Into<String>,
-    funcs: &[FuncId],
-    comm: CommMethod,
-) -> Result<ChainSpec, MoleculeError> {
-    let defs: Vec<crate::function::FunctionDef> = funcs
-        .iter()
-        .map(|f| {
-            molecule.registry().get(f).ok_or_else(|| MoleculeError::UnknownFunction(f.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let refs: Vec<&crate::function::FunctionDef> = defs.iter().collect();
-    let placement = scheduler.place_chain(molecule.machine(), &refs)?;
-    let stages =
-        funcs.iter().zip(placement).map(|(f, pu)| ChainStage { func: f.clone(), pu }).collect();
-    Ok(ChainSpec::new(name, stages, comm))
-}
-
 /// Runs a chain to completion from inside a simulated process (the API
 /// gateway / request driver).
 ///
@@ -775,33 +748,6 @@ mod tests {
         let (copy, shm) = h.take_result().unwrap();
         let ratio = copy.ratio(shm);
         assert!((1.6..=2.3).contains(&ratio), "copy {copy} / shm {shm} = {ratio}");
-    }
-
-    #[test]
-    fn plan_chain_colocates_and_runs() {
-        let m = molecule_cpu_dpu();
-        let mut sim = Simulation::new();
-        let out = sim.spawn("driver", move |ctx| {
-            let sched = crate::schedule::Scheduler::default();
-            let spec = plan_chain(
-                &m,
-                &sched,
-                "planned",
-                &["front".into(), "interact".into()],
-                CommMethod::DirectIpc,
-            )
-            .unwrap();
-            // Chain co-location: both stages on the same PU.
-            assert_eq!(spec.stages[0].pu, spec.stages[1].pu);
-            let missing = plan_chain(&m, &sched, "bad", &["ghost".into()], CommMethod::DirectIpc)
-                .unwrap_err();
-            let outcome = run_chain(&m, ctx, &spec).unwrap();
-            (missing, outcome.mean_end_to_end())
-        });
-        sim.run().unwrap();
-        let (missing, e2e) = out.take_result().unwrap();
-        assert!(matches!(missing, MoleculeError::UnknownFunction(_)));
-        assert!(e2e > SimDuration::ZERO);
     }
 
     #[test]

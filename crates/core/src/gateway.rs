@@ -403,8 +403,7 @@ impl ApiGateway {
             None => {
                 // 2. Miss: place on a surviving PU and scale up.
                 let avoid: Vec<PuId> = self.avoided_pus();
-                let pu =
-                    self.scheduler.place_avoiding(self.molecule.machine(), &def, None, &avoid)?;
+                let pu = self.scheduler.place(self.molecule.machine(), &def, &avoid)?;
                 self.note_degradation(ctx, &def, pu, &avoid);
                 let how = self.effective_startup(pu);
                 let started = self.molecule.start_instance(ctx, func, pu, how)?;

@@ -18,8 +18,7 @@
 //! * [`dag`] — function-chain communication: direct-connect XPU-FIFOs
 //!   (local IPC / nIPC), the HTTP-gateway baseline, and zero-copy FPGA
 //!   chains via DRAM data retention;
-//! * [`schedule`] — profile selection, chain co-location and density
-//!   packing;
+//! * [`schedule`] — first-fit profile selection and density packing;
 //! * [`health`] — executor health checking, circuit breaking and
 //!   crashed-PU recovery (reclamation, purge, failover, degradation);
 //! * [`keepalive`] — Fixed-window / LRU / Greedy-Dual keep-alive policies

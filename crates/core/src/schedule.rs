@@ -1,42 +1,19 @@
-//! Placement: profile selection, chain co-location and density packing
-//! (paper §4.1, §5 "Profile selections", Fig. 2a).
+//! Placement: profile selection and density packing (paper §4.1, §5
+//! "Profile selections", Fig. 2a).
 
 use hetsim::pu::{PuId, PuKind};
 use hetsim::topology::Machine;
-use vsandbox::spec::FuncId;
 
 use crate::error::MoleculeError;
 use crate::function::FunctionDef;
 
-/// The placement policy in effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Locate functions of one chain on the same PU where possible (§5:
-    /// "Molecule uses a policy that considers function-chain by locating
-    /// functions in one chain to the same PU").
-    #[default]
-    ChainColocate,
-    /// First allowed PU with capacity, in PU order.
-    FirstFit,
-}
-
-/// The scheduler: maps functions to PUs.
+/// The scheduler: maps functions to PUs. It holds no state; it is a braced
+/// struct, not a unit struct, so `Scheduler::default()` callers stay
+/// clippy-clean.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Scheduler {
-    policy: PlacementPolicy,
-}
+pub struct Scheduler {}
 
 impl Scheduler {
-    /// Creates a scheduler with the given policy.
-    pub fn new(policy: PlacementPolicy) -> Scheduler {
-        Scheduler { policy }
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Whether `pu` can take one more instance of `def`.
     ///
     /// General-purpose PUs check memory headroom against the function's
@@ -70,50 +47,22 @@ impl Scheduler {
         }
     }
 
-    /// Picks a PU for `def`. With [`PlacementPolicy::ChainColocate`], the
-    /// previous stage's PU wins if the function supports it and it has
-    /// capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`MoleculeError::NoCapacity`] when no allowed PU fits the function.
-    pub fn place(
-        &self,
-        machine: &Machine,
-        def: &FunctionDef,
-        prev_stage: Option<PuId>,
-    ) -> Result<PuId, MoleculeError> {
-        self.place_avoiding(machine, def, prev_stage, &[])
-    }
-
-    /// [`place`](Self::place), excluding the PUs in `avoid` — the failover
-    /// path: the health checker feeds in crashed and circuit-open PUs so new
-    /// work lands on survivors. A function whose preferred kind is entirely
-    /// avoided degrades to a later profile (typically the CPU cost table).
+    /// Picks a PU for `def`: the first allowed PU with capacity, in
+    /// profile order, skipping the PUs in `avoid`. The failover path feeds
+    /// in crashed and circuit-open PUs so new work lands on survivors; a
+    /// function whose preferred kind is entirely avoided degrades to a later
+    /// profile (typically the CPU cost table).
     ///
     /// # Errors
     ///
     /// [`MoleculeError::NoCapacity`] when every allowed PU is avoided or
     /// full.
-    pub fn place_avoiding(
+    pub fn place(
         &self,
         machine: &Machine,
         def: &FunctionDef,
-        prev_stage: Option<PuId>,
         avoid: &[PuId],
     ) -> Result<PuId, MoleculeError> {
-        if self.policy == PlacementPolicy::ChainColocate {
-            if let Some(prev) = prev_stage {
-                if let Some(spec) = machine.pu(prev) {
-                    if !avoid.contains(&prev)
-                        && def.supports(spec.kind)
-                        && Self::pu_has_capacity(machine, prev, def)
-                    {
-                        return Ok(prev);
-                    }
-                }
-            }
-        }
         for kind in &def.profiles {
             for pu in machine.pus_of_kind(*kind) {
                 if !avoid.contains(&pu) && Self::pu_has_capacity(machine, pu, def) {
@@ -124,76 +73,12 @@ impl Scheduler {
         Err(MoleculeError::NoCapacity(def.id.clone()))
     }
 
-    /// Places a whole chain, co-locating stages per policy. Returns the PU
-    /// of each stage (no reservations are made — this is the planning step).
-    ///
-    /// # Errors
-    ///
-    /// [`MoleculeError::NoCapacity`] if any stage cannot be placed.
-    pub fn place_chain(
-        &self,
-        machine: &Machine,
-        defs: &[&FunctionDef],
-    ) -> Result<Vec<PuId>, MoleculeError> {
-        let mut out = Vec::with_capacity(defs.len());
-        let mut prev = None;
-        for def in defs {
-            let pu = self.place(machine, def, prev)?;
-            out.push(pu);
-            prev = Some(pu);
-        }
-        Ok(out)
-    }
-
-    /// Cost-aware profile selection (§4.1: users pick PU kinds by price;
-    /// DPUs are cheapest): among the PUs that can serve `def` within
-    /// `latency_budget` for `input_bytes` of input, pick the one whose
-    /// billed cost (execution time × PU price) is lowest.
-    ///
-    /// # Errors
-    ///
-    /// [`MoleculeError::NoCapacity`] if no allowed PU meets the budget.
-    pub fn place_cost_aware(
-        &self,
-        machine: &Machine,
-        def: &FunctionDef,
-        input_bytes: u64,
-        latency_budget: hetsim::time::SimDuration,
-        prices: &crate::billing::PriceTable,
-    ) -> Result<PuId, MoleculeError> {
-        let mut best: Option<(f64, PuId)> = None;
-        for kind in &def.profiles {
-            for pu in machine.pus_of_kind(*kind) {
-                if !Self::pu_has_capacity(machine, pu, def) {
-                    continue;
-                }
-                let Some(spec) = machine.pu(pu) else { continue };
-                let exec = match spec.kind {
-                    PuKind::Fpga => match &def.fpga {
-                        Some(p) => p.exec.host_time(input_bytes),
-                        None => continue,
-                    },
-                    _ => def.exec.time_on(spec, input_bytes),
-                };
-                if exec > latency_budget {
-                    continue;
-                }
-                let cost = exec.as_millis_f64() * prices.price(spec.kind);
-                if best.is_none_or(|(c, _)| cost < c) {
-                    best = Some((cost, pu));
-                }
-            }
-        }
-        best.map(|(_, pu)| pu).ok_or_else(|| MoleculeError::NoCapacity(def.id.clone()))
-    }
-
-    /// Density packing (Fig. 2a): reserves instance slots of `func` on the
+    /// Density packing (Fig. 2a): reserves function instance slots on the
     /// given PUs until every PU is full, returning how many fit. Each PU
     /// kind uses its calibrated per-instance reservation (users size DPU
     /// deployments explicitly, §4.1). Reservations are held — call
     /// [`release_packed`](Self::release_packed) to undo.
-    pub fn pack_until_full(&self, machine: &Machine, func: &FuncId, pus: &[PuId]) -> u64 {
-        let _ = func;
+    pub fn pack_until_full(&self, machine: &Machine, pus: &[PuId]) -> u64 {
         let density = machine.calibration().density;
         let mut placed = 0;
         for &pu in pus {
@@ -235,45 +120,22 @@ mod tests {
     }
 
     #[test]
-    fn chain_colocate_prefers_previous_stage() {
-        let machine = Machine::paper_cpu_dpu_server();
-        let sched = Scheduler::new(PlacementPolicy::ChainColocate);
-        let def = cpu_dpu_fn("f");
-        assert_eq!(sched.place(&machine, &def, Some(PuId(1))).unwrap(), PuId(1));
-        assert_eq!(sched.place(&machine, &def, None).unwrap(), PuId(0));
-    }
-
-    #[test]
-    fn first_fit_ignores_chain_context() {
-        let machine = Machine::paper_cpu_dpu_server();
-        let sched = Scheduler::new(PlacementPolicy::FirstFit);
-        let def = cpu_dpu_fn("f");
-        assert_eq!(sched.place(&machine, &def, Some(PuId(1))).unwrap(), PuId(0));
-    }
-
-    #[test]
-    fn place_avoiding_fails_over_to_surviving_pus() {
+    fn place_fails_over_to_surviving_pus() {
         let machine = Machine::paper_cpu_dpu_server();
         let sched = Scheduler::default();
         let dpu_first = FunctionDef::builder("d", LangRuntime::Python)
             .profiles(&[PuKind::Dpu, PuKind::Cpu])
             .build();
         // Healthy: the preferred DPU wins.
-        assert_eq!(sched.place_avoiding(&machine, &dpu_first, None, &[]).unwrap(), PuId(1));
+        assert_eq!(sched.place(&machine, &dpu_first, &[]).unwrap(), PuId(1));
         // First DPU dead: the second DPU takes over.
-        assert_eq!(sched.place_avoiding(&machine, &dpu_first, None, &[PuId(1)]).unwrap(), PuId(2));
+        assert_eq!(sched.place(&machine, &dpu_first, &[PuId(1)]).unwrap(), PuId(2));
         // Both DPUs dead: degrade to the CPU cost table.
-        let degraded =
-            sched.place_avoiding(&machine, &dpu_first, None, &[PuId(1), PuId(2)]).unwrap();
+        let degraded = sched.place(&machine, &dpu_first, &[PuId(1), PuId(2)]).unwrap();
         assert_eq!(machine.pu(degraded).unwrap().kind, PuKind::Cpu);
-        // Chain affinity never routes to an avoided PU.
-        assert_ne!(
-            sched.place_avoiding(&machine, &dpu_first, Some(PuId(1)), &[PuId(1)]).unwrap(),
-            PuId(1)
-        );
         // Everything avoided: a clean error, not a panic.
         assert!(matches!(
-            sched.place_avoiding(&machine, &dpu_first, None, &[PuId(0), PuId(1), PuId(2)]),
+            sched.place(&machine, &dpu_first, &[PuId(0), PuId(1), PuId(2)]),
             Err(MoleculeError::NoCapacity(_))
         ));
     }
@@ -282,15 +144,17 @@ mod tests {
     fn placement_respects_profiles() {
         let machine = Machine::paper_cpu_dpu_server();
         let sched = Scheduler::default();
+        // Profile order decides: a CPU-first function lands on the CPU.
+        assert_eq!(sched.place(&machine, &cpu_dpu_fn("f"), &[]).unwrap(), PuId(0));
         let dpu_only =
             FunctionDef::builder("d", LangRuntime::Python).profiles(&[PuKind::Dpu]).build();
-        assert_eq!(sched.place(&machine, &dpu_only, None).unwrap(), PuId(1));
+        assert_eq!(sched.place(&machine, &dpu_only, &[]).unwrap(), PuId(1));
         let fpga_only = FunctionDef::builder("g", LangRuntime::OpenCl)
             .profiles(&[PuKind::Gpu])
             .gpu(crate::function::ExecModel::Fixed(hetsim::time::SimDuration::from_micros(100)))
             .build();
         assert!(matches!(
-            sched.place(&machine, &fpga_only, None),
+            sched.place(&machine, &fpga_only, &[]),
             Err(MoleculeError::NoCapacity(_))
         ));
     }
@@ -304,55 +168,8 @@ mod tests {
         let cpu_os = machine.os(PuId(0)).unwrap();
         let free = cpu_os.usable_mib();
         cpu_os.try_reserve_mib(free).unwrap();
-        assert_eq!(sched.place(&machine, &def, None).unwrap(), PuId(1));
+        assert_eq!(sched.place(&machine, &def, &[]).unwrap(), PuId(1));
         cpu_os.release_mib(free);
-    }
-
-    #[test]
-    fn place_chain_colocates_all_stages() {
-        let machine = Machine::paper_cpu_dpu_server();
-        let sched = Scheduler::default();
-        let defs: Vec<FunctionDef> = (0..5).map(|i| cpu_dpu_fn(&format!("f{i}"))).collect();
-        let refs: Vec<&FunctionDef> = defs.iter().collect();
-        let placement = sched.place_chain(&machine, &refs).unwrap();
-        assert!(placement.iter().all(|pu| *pu == placement[0]));
-    }
-
-    #[test]
-    fn cost_aware_prefers_the_dpu_when_the_budget_allows() {
-        use crate::billing::PriceTable;
-        use hetsim::time::SimDuration;
-        let machine = Machine::paper_cpu_dpu_server();
-        let sched = Scheduler::default();
-        let prices = PriceTable::default();
-        let def = FunctionDef::builder("f", LangRuntime::Python)
-            .profiles(&[PuKind::Cpu, PuKind::Dpu])
-            .exec_ms(10.0)
-            .build();
-        // Loose budget: the DPU (10ms * 6.2 = 62ms exec) is cheaper
-        // (62 * 0.4 = 24.8 < 10 * 1.0)? No: 24.8 > 10 — the CPU wins on
-        // cost for this function...
-        let loose = sched
-            .place_cost_aware(&machine, &def, 0, SimDuration::from_millis(100), &prices)
-            .unwrap();
-        assert_eq!(machine.pu(loose).unwrap().kind, PuKind::Cpu);
-        // ...but for a function whose DPU slowdown is amortized by price
-        // (cheap DPU, short run), make DPUs attractive by raising CPU price.
-        let skewed = PriceTable { cpu: 10.0, ..PriceTable::default() };
-        let dpu_win = sched
-            .place_cost_aware(&machine, &def, 0, SimDuration::from_millis(100), &skewed)
-            .unwrap();
-        assert_eq!(machine.pu(dpu_win).unwrap().kind, PuKind::Dpu);
-        // Tight budget: only the CPU meets 20ms.
-        let tight = sched
-            .place_cost_aware(&machine, &def, 0, SimDuration::from_millis(20), &skewed)
-            .unwrap();
-        assert_eq!(machine.pu(tight).unwrap().kind, PuKind::Cpu);
-        // Impossible budget: error.
-        assert!(matches!(
-            sched.place_cost_aware(&machine, &def, 0, SimDuration::from_millis(1), &prices),
-            Err(MoleculeError::NoCapacity(_))
-        ));
     }
 
     #[test]
@@ -402,7 +219,7 @@ mod tests {
         assert!(Scheduler::pu_has_capacity(&machine, fpga, &fpga_fn("k0", small("k0"))));
         // And place() surfaces the refusal as NoCapacity, not an overcommit.
         assert!(matches!(
-            Scheduler::default().place(&machine, &fpga_fn("new", small("new")), None),
+            Scheduler::default().place(&machine, &fpga_fn("new", small("new")), &[]),
             Err(MoleculeError::NoCapacity(_))
         ));
     }
@@ -433,7 +250,7 @@ mod tests {
         assert_eq!(dev.free_kernel_slots(), 0);
         assert!(!Scheduler::pu_has_capacity(&machine, gpu, &def));
         assert!(matches!(
-            Scheduler::default().place(&machine, &def, None),
+            Scheduler::default().place(&machine, &def, &[]),
             Err(MoleculeError::NoCapacity(_))
         ));
     }
@@ -442,12 +259,11 @@ mod tests {
     fn density_packing_reproduces_fig2a_counts() {
         let machine = Machine::paper_cpu_dpu_server();
         let sched = Scheduler::default();
-        let func = FuncId::new("image-process");
-        let cpu_only = sched.pack_until_full(&machine, &func, &[PuId(0)]);
+        let cpu_only = sched.pack_until_full(&machine, &[PuId(0)]);
         sched.release_packed(&machine, &[PuId(0)]);
-        let with_one = sched.pack_until_full(&machine, &func, &[PuId(0), PuId(1)]);
+        let with_one = sched.pack_until_full(&machine, &[PuId(0), PuId(1)]);
         sched.release_packed(&machine, &[PuId(0), PuId(1)]);
-        let with_two = sched.pack_until_full(&machine, &func, &[PuId(0), PuId(1), PuId(2)]);
+        let with_two = sched.pack_until_full(&machine, &[PuId(0), PuId(1), PuId(2)]);
         sched.release_packed(&machine, &[PuId(0), PuId(1), PuId(2)]);
         assert_eq!(cpu_only, 1000);
         assert_eq!(with_one, 1256);

@@ -19,10 +19,6 @@
 //! * [`segment`] — per-link shared segments for zero-copy large-payload
 //!   hand-off: the FIFO carries a capability-guarded descriptor while the
 //!   bytes cross the link once (Fig. 13's data retention, generalized);
-//! * [`mpsc`] — the real lock-free MPSC notification queue the optimized
-//!   transports are built on (§5's security-conscious design);
-//! * [`server`] — multi-threaded XPUcall handling: per-thread dedicated
-//!   queues and the work-stealing alternative (§5);
 //! * [`cluster`] — the deployed shim cluster, including `xSpawn` and the
 //!   three synchronization strategies (static partition / immediate / lazy).
 //!
@@ -58,9 +54,7 @@ pub mod cluster;
 pub mod error;
 pub mod fifo;
 pub mod id;
-pub mod mpsc;
 pub mod segment;
-pub mod server;
 pub mod xcall;
 
 pub use cap::Perm;

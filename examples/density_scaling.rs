@@ -24,7 +24,6 @@ use vsandbox::spec::{LangRuntime, SandboxConfig, SandboxId};
 fn main() {
     let machine = Machine::paper_cpu_dpu_server();
     let sched = Scheduler::default();
-    let func = FuncId::new("image-process");
 
     println!("packing 'image-process' instances until each configuration is full:\n");
     let configs: [(&str, Vec<PuId>); 3] = [
@@ -34,7 +33,7 @@ fn main() {
     ];
     let mut last = 0;
     for (label, pus) in configs {
-        let packed = sched.pack_until_full(&machine, &func, &pus);
+        let packed = sched.pack_until_full(&machine, &pus);
         println!("  {label:<12} -> {packed:>5} concurrent instances (+{})", packed - last);
         last = packed;
         sched.release_packed(&machine, &pus);

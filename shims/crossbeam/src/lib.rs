@@ -1,6 +1,5 @@
 //! Offline shim for the `crossbeam` API subset used by this workspace:
-//! `crossbeam::channel` (unbounded MPMC channel) and `crossbeam::deque`
-//! (injector + work-stealing worker deques). Backed by std primitives —
+//! `crossbeam::channel` (unbounded MPMC channel). Backed by std primitives —
 //! correct, if less scalable than the real crate.
 
 pub mod channel {
@@ -161,162 +160,6 @@ pub mod channel {
     }
 }
 
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Global FIFO injector queue (`crossbeam::deque::Injector` subset).
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Injector<T> {
-            Injector::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        pub fn new() -> Injector<T> {
-            Injector { queue: Mutex::new(VecDeque::new()) }
-        }
-
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Moves a small batch into `dest`'s local deque and pops one task.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut q = self.queue.lock().unwrap();
-            let first = match q.pop_front() {
-                Some(t) => t,
-                None => return Steal::Empty,
-            };
-            let extra = q.len().min(16);
-            let mut local = dest.local.lock().unwrap();
-            for _ in 0..extra {
-                if let Some(t) = q.pop_front() {
-                    local.push_back(t);
-                }
-            }
-            Steal::Success(first)
-        }
-    }
-
-    /// A per-thread deque whose owner pops locally and peers steal from.
-    pub struct Worker<T> {
-        local: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        pub fn new_fifo() -> Worker<T> {
-            Worker { local: Arc::new(Mutex::new(VecDeque::new())) }
-        }
-
-        pub fn push(&self, task: T) {
-            self.local.lock().unwrap().push_back(task);
-        }
-
-        pub fn pop(&self) -> Option<T> {
-            self.local.lock().unwrap().pop_front()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.local.lock().unwrap().is_empty()
-        }
-
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { local: Arc::clone(&self.local) }
-        }
-    }
-
-    /// Steal handle onto another worker's deque.
-    pub struct Stealer<T> {
-        local: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Stealer<T> {
-            Stealer { local: Arc::clone(&self.local) }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        pub fn steal(&self) -> Steal<T> {
-            match self.local.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-    }
-
-    /// Outcome of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        Empty,
-        Success(T),
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-        pub fn is_retry(&self) -> bool {
-            matches!(self, Steal::Retry)
-        }
-        pub fn is_success(&self) -> bool {
-            matches!(self, Steal::Success(_))
-        }
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-        pub fn or_else<F: FnOnce() -> Steal<T>>(self, f: F) -> Steal<T> {
-            match self {
-                Steal::Success(t) => Steal::Success(t),
-                Steal::Retry => match f() {
-                    Steal::Empty => Steal::Retry,
-                    other => other,
-                },
-                Steal::Empty => f(),
-            }
-        }
-    }
-
-    impl<T> FromIterator<Steal<T>> for Steal<T> {
-        /// First `Success` wins; `Retry` if any attempt said retry; else `Empty`.
-        fn from_iter<I: IntoIterator<Item = Steal<T>>>(iter: I) -> Steal<T> {
-            let mut retry = false;
-            for s in iter {
-                match s {
-                    Steal::Success(t) => return Steal::Success(t),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if retry {
-                Steal::Retry
-            } else {
-                Steal::Empty
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -330,17 +173,5 @@ mod tests {
         drop(tx);
         drop(tx2);
         assert!(rx.recv().is_err());
-    }
-
-    #[test]
-    fn deque_steal() {
-        use super::deque::{Injector, Steal, Worker};
-        let inj: Injector<u32> = Injector::new();
-        let w = Worker::new_fifo();
-        inj.push(1);
-        inj.push(2);
-        assert_eq!(inj.steal_batch_and_pop(&w), Steal::Success(1));
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.stealer().steal(), Steal::Empty);
     }
 }

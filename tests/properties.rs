@@ -192,35 +192,6 @@ proptest! {
 }
 
 proptest! {
-    /// Model check of the lock-free notification queue against a VecDeque,
-    /// under arbitrary single-threaded push/pop interleavings (the
-    /// concurrent behaviour is covered by the threaded test in `xpu-shim`).
-    #[test]
-    fn notify_queue_matches_a_deque_model(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
-        use std::collections::VecDeque;
-        use xpu_shim::mpsc::NotifyQueue;
-        let q = NotifyQueue::with_capacity(16);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        let mut next = 0u32;
-        for push in ops {
-            if push {
-                let pid = XpuPid { pu: PuId(1), local: next };
-                match q.push(pid) {
-                    Ok(()) => {
-                        model.push_back(next);
-                        prop_assert!(model.len() <= 16);
-                    }
-                    Err(_) => prop_assert_eq!(model.len(), 16, "spurious full"),
-                }
-                next += 1;
-            } else {
-                let got = q.pop().map(|p| p.local);
-                prop_assert_eq!(got, model.pop_front());
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
-    }
-
     /// Meter totals equal the sum of their parts for arbitrary charges.
     #[test]
     fn meter_conserves_charges(charges in proptest::collection::vec((0u8..5, 1u64..100_000, 1u64..1024), 1..50)) {
