@@ -123,7 +123,8 @@ git diff --exit-code -- 'BENCH_*.json'
 # reproduction (see TESTING.md).
 cargo test -q -p molecule-simcheck
 
-# Flake detector: the tier-1 suite plus the density, proxy-offload and
+# Flake detector: the tier-1 suite plus the engine's own tests (where a
+# thread hand-off race would show), the density, proxy-offload and
 # state/rack coherence suites twice under different host-thread counts.
 # Virtual time must be immune to host parallelism — any diff between the
 # two outcome lists is a real nondeterminism bug, not a flake to retry.
@@ -131,6 +132,7 @@ flake_outcomes() {
     # Wall-clock times differ run to run; the pass/fail ledger must not.
     {
         RUST_TEST_THREADS="$1" cargo test -q 2>&1 || true
+        RUST_TEST_THREADS="$1" cargo test -q -p hetsim 2>&1 || true
         RUST_TEST_THREADS="$1" cargo test -q -p molecule-core --test density_props 2>&1 || true
         RUST_TEST_THREADS="$1" cargo test -q -p molecule-core --test health_alloc 2>&1 || true
         RUST_TEST_THREADS="$1" cargo test -q -p xpu-shim --test reclaim_stress 2>&1 || true

@@ -1,10 +1,10 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! Simulated processes (the Molecule daemons, executors, shims and function
-//! instances) are written in straight-line style: each is an OS thread that
-//! the scheduler resumes **one at a time**, SimPy-style. Because exactly one
-//! process runs between scheduler steps and ties are broken by a monotone
-//! sequence number, every run of the same program is bit-for-bit identical.
+//! instances) are written in straight-line style: each is an OS thread, and
+//! **exactly one** thread runs at a time, SimPy-style. Because one process
+//! runs between engine steps and ties are broken by a monotone sequence
+//! number, every run of the same program is bit-for-bit identical.
 //!
 //! Virtual time only advances through the event queue; real thread switches
 //! cost wall-clock time but zero virtual time.
@@ -16,6 +16,14 @@
 //! [`SchedulePolicy`] consultation, [`ChoicePoint`] log and
 //! `SIMCHECK_REPLAY` blob. Events a policy defers are re-inserted under
 //! their original keys.
+//!
+//! # Baton dispatch
+//!
+//! A process that blocks or finishes pops the next event on its own thread:
+//! a scheduled closure runs inline, its own resume returns at once, and
+//! another process's resume wakes that thread and parks this one. With a
+//! step observer or a [`SchedulePolicy`] installed, yielding processes hand
+//! the baton back to [`Simulation::run`], which dispatches every event.
 //!
 //! # Examples
 //!
@@ -46,58 +54,42 @@ pub use schedule::{ChoicePoint, FifoSeqPolicy, SchedulePolicy};
 pub use semaphore::{SemPermit, SimSemaphore};
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::{self, Thread};
 
-use crossbeam::channel as xchan;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::time::{SimDuration, SimTime};
+use process::Parker;
 use queue::EventQueue;
 
-/// Why a blocked process is being resumed.
+/// Why a blocked process is being resumed. The discriminants are the
+/// non-zero words a [`Parker`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum ResumeReason {
     /// First activation of the process.
-    Start,
+    Start = 1,
     /// A waited-for condition became true (message arrived, timer fired).
-    Woken,
+    Woken = 2,
     /// A `recv_timeout` deadline elapsed before the condition became true.
-    Timeout,
+    Timeout = 3,
     /// The simulation is being torn down; the process should exit silently.
-    Cancel,
+    Cancel = 4,
 }
 
-#[derive(Debug)]
 pub(crate) enum YieldKind {
     Blocked,
     Finished,
     Panicked(String),
 }
 
-pub(crate) struct YieldMsg {
-    pub proc: ProcId,
-    pub kind: YieldKind,
-}
-
 pub(crate) enum EventAction {
     /// Resume process `proc` if it is still blocked with wait generation `gen`.
     Resume { proc: ProcId, gen: u64, reason: ResumeReason },
-    /// Run a closure on the scheduler thread (no engine lock held).
+    /// Run a closure on the thread that holds the baton (no engine lock held).
     Call(Box<dyn FnOnce() + Send>),
-}
-
-impl fmt::Debug for EventAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventAction::Resume { proc, gen, reason } => f
-                .debug_struct("Resume")
-                .field("proc", proc)
-                .field("gen", gen)
-                .field("reason", reason)
-                .finish(),
-            EventAction::Call(_) => f.write_str("Call(..)"),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +100,7 @@ pub(crate) enum ProcState {
 
 pub(crate) struct ProcSlot {
     pub name: String,
-    pub resume_tx: xchan::Sender<ResumeReason>,
+    pub parker: Arc<Parker>,
     pub wait_gen: u64,
     pub state: ProcState,
 }
@@ -119,7 +111,6 @@ pub(crate) struct ProcSlot {
 pub(crate) struct ProcSlab {
     entries: Vec<ProcEntry>,
     free: Vec<u32>,
-    len: usize,
 }
 
 struct ProcEntry {
@@ -129,11 +120,10 @@ struct ProcEntry {
 
 impl ProcSlab {
     fn new() -> Self {
-        ProcSlab { entries: Vec::new(), free: Vec::new(), len: 0 }
+        ProcSlab { entries: Vec::new(), free: Vec::new() }
     }
 
     fn insert(&mut self, slot: ProcSlot) -> ProcId {
-        self.len += 1;
         if let Some(idx) = self.free.pop() {
             let e = &mut self.entries[idx as usize];
             debug_assert!(e.slot.is_none());
@@ -161,7 +151,6 @@ impl ProcSlab {
         }
         e.gen = e.gen.wrapping_add(1);
         self.free.push(id.index());
-        self.len -= 1;
         e.slot.take()
     }
 
@@ -171,12 +160,40 @@ impl ProcSlab {
     }
 }
 
+/// A run's result, or the payload of a scheduled closure's panic.
+type Outcome = thread::Result<Result<RunReport, SimError>>;
+
+/// What the baton holder does next, as prepared by [`EngineState::next`].
+enum Step {
+    /// The run is over (drained, deadlocked, out of budget, spawn failed).
+    End(Result<RunReport, SimError>),
+    Call(Box<dyn FnOnce() + Send>),
+    /// `proc` is now running; `dispatch` is its engine-lane instant.
+    Resume {
+        proc: ProcId,
+        reason: ResumeReason,
+        parker: Arc<Parker>,
+        dispatch: Option<(SimTime, String)>,
+    },
+}
+
 pub(crate) struct EngineState {
     pub now: SimTime,
     events: EventQueue<EventAction>,
     pub procs: ProcSlab,
     pub live: usize,
     trace: Option<Vec<String>>,
+    fired: u64,
+    limit: u64,
+    policy: Option<Box<dyn SchedulePolicy>>,
+    choice_log: Vec<ChoicePoint>,
+    spawn_error: Option<SimError>,
+    /// A step observer or a policy is installed: yields go to the driver.
+    stepped: bool,
+    /// The thread blocked in [`Simulation::run`].
+    driver: Option<Thread>,
+    baton_home: bool,
+    outcome: Option<Outcome>,
 }
 
 impl EngineState {
@@ -190,12 +207,79 @@ impl EngineState {
         slot.wait_gen += 1;
         slot.wait_gen
     }
+
+    /// Pops the next event and prepares it, in both dispatch modes: event
+    /// budget, `(time, seq)` pop, policy batch and [`ChoicePoint`],
+    /// `events_fired`, trace entry and the stale-resume check. A returned
+    /// resume has already marked its process running.
+    fn next(&mut self) -> Step {
+        if let Some(err) = self.spawn_error.take() {
+            return Step::End(Err(err));
+        }
+        loop {
+            if self.fired >= self.limit {
+                return Step::End(Err(SimError::EventLimitExceeded { limit: self.limit }));
+            }
+            let Some((t_ns, seq, action)) = self.events.pop() else {
+                if self.live == 0 {
+                    let trace = self.trace.take().unwrap_or_default();
+                    let report = RunReport { end_time: self.now, events_fired: self.fired, trace };
+                    return Step::End(Ok(report));
+                }
+                let blocked = self.procs.iter().filter(|p| p.state == ProcState::Blocked);
+                let blocked = blocked.map(|p| p.name.clone()).collect();
+                return Step::End(Err(SimError::Deadlock { blocked }));
+            };
+            let t = SimTime::from_nanos(t_ns);
+            debug_assert!(t >= self.now, "event queue went backwards");
+            self.now = t;
+            let action = match self.policy.as_mut() {
+                Some(policy) => {
+                    // Gather every event runnable at this instant. Pops come
+                    // out in (time, seq) order, so the batch is already
+                    // seq-sorted and index 0 is what the default tie-break
+                    // would run.
+                    let mut batch = vec![(t_ns, seq, action)];
+                    while self.events.peek_time() == Some(t_ns) {
+                        batch.extend(self.events.pop());
+                    }
+                    let arity = batch.len();
+                    let chosen = if arity > 1 {
+                        let c = policy.choose(t, arity).min(arity - 1);
+                        self.choice_log.push(ChoicePoint { arity: arity as u32, chosen: c as u32 });
+                        c
+                    } else {
+                        0
+                    };
+                    let (_, _, action) = batch.remove(chosen);
+                    // Deferred events keep their original keys.
+                    for (bt, bs, baction) in batch {
+                        self.events.push_at(bt, bs, baction);
+                    }
+                    action
+                }
+                None => action,
+            };
+            self.fired += 1;
+            let (proc, gen, reason) = match action {
+                EventAction::Call(f) => return Step::Call(f),
+                EventAction::Resume { proc, gen, reason } => (proc, gen, reason),
+            };
+            // Skip a stale wake-up (e.g. a raced timeout) or a finished process.
+            let waiting = |s: &&mut ProcSlot| s.state == ProcState::Blocked && s.wait_gen == gen;
+            let Some(slot) = self.procs.get_mut(proc).filter(waiting) else { continue };
+            slot.state = ProcState::Running;
+            if let Some(trace) = self.trace.as_mut() {
+                trace.push(format!("{t} {}", slot.name));
+            }
+            let dispatch = telemetry::engine_instants().then(|| (t, slot.name.clone()));
+            return Step::Resume { proc, reason, parker: Arc::clone(&slot.parker), dispatch };
+        }
+    }
 }
 
 pub(crate) struct EngineShared {
     pub state: Mutex<EngineState>,
-    pub yield_tx: xchan::Sender<YieldMsg>,
-    yield_rx: xchan::Receiver<YieldMsg>,
 }
 
 /// Emits the "wake proc#N" engine instant, outside any engine lock and only
@@ -208,6 +292,16 @@ fn wake_instant(at: SimTime, proc: ProcId) {
             r.instant(telemetry::ENGINE_LANE, at.as_nanos(), &format!("wake {proc}"), None);
         });
     }
+}
+
+/// Records a resume's dispatch, outside the engine lock.
+fn announce(dispatch: Option<(SimTime, String)>) {
+    if let Some((at, name)) = dispatch {
+        telemetry::with(|r| {
+            r.instant(telemetry::ENGINE_LANE, at.as_nanos(), &format!("dispatch {name}"), None);
+        });
+    }
+    telemetry::counter_add("engine.dispatches", 1);
 }
 
 impl EngineShared {
@@ -258,18 +352,18 @@ impl EngineShared {
         wake_instant(at, proc);
     }
 
-    /// Schedule a closure to run on the scheduler thread at `at`.
+    /// Schedule a closure to run on the baton holder's thread at `at`.
     pub(crate) fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce() + Send>) {
         let mut st = self.state.lock();
         let at = at.max(st.now);
         st.schedule(at, EventAction::Call(f));
     }
 
-    fn register_proc(&self, name: &str, resume_tx: xchan::Sender<ResumeReason>) -> ProcId {
+    fn register_proc(&self, name: &str, parker: Arc<Parker>) -> ProcId {
         let mut st = self.state.lock();
         let id = st.procs.insert(ProcSlot {
             name: name.to_owned(),
-            resume_tx,
+            parker,
             wait_gen: 0,
             state: ProcState::Blocked,
         });
@@ -277,6 +371,115 @@ impl EngineShared {
         let now = st.now;
         st.schedule(now, EventAction::Resume { proc: id, gen: 0, reason: ResumeReason::Start });
         id
+    }
+
+    /// Unregisters a process whose OS thread could not be started and
+    /// records [`SimError::SpawnFailed`] for [`Simulation::run`] to return.
+    pub(crate) fn spawn_failed(&self, proc: ProcId, message: String) {
+        let mut st = self.state.lock();
+        if let Some(slot) = st.procs.remove(proc) {
+            st.live -= 1;
+            st.spawn_error.get_or_insert(SimError::SpawnFailed { name: slot.name, message });
+        }
+    }
+
+    /// Records that process `me` blocked, finished or panicked, then gives
+    /// the baton back to the driver (stepped mode) or dispatches on this
+    /// thread. Returns the resume reason if the next event resumes `me`.
+    pub(crate) fn yield_baton(&self, me: ProcId, kind: YieldKind) -> Option<ResumeReason> {
+        let mut st = self.state.lock();
+        match kind {
+            YieldKind::Blocked => {
+                if let Some(slot) = st.procs.get_mut(me) {
+                    slot.state = ProcState::Blocked;
+                }
+            }
+            YieldKind::Finished => {
+                st.procs.remove(me);
+                st.live -= 1;
+            }
+            YieldKind::Panicked(message) => {
+                let name =
+                    st.procs.remove(me).map_or_else(|| "<unknown>".to_owned(), |slot| slot.name);
+                st.live -= 1;
+                drop(st);
+                // Surface the last recorded events alongside the crash so
+                // failures are debuggable post-mortem.
+                if let Some(dump) = telemetry::flight_dump() {
+                    eprintln!("process '{name}' panicked; {dump}");
+                }
+                self.hand_back(Some(Ok(Err(SimError::ProcessPanicked { name, message }))));
+                return None;
+            }
+        }
+        if st.stepped {
+            drop(st);
+            self.hand_back(None);
+            return None;
+        }
+        self.pass_baton(Some(me), st)
+    }
+
+    /// Dispatches events on the calling thread until one resumes a process.
+    /// Returns its reason if that process is `me`; otherwise posts the
+    /// reason to its parker (or, if the run ended, leaves the outcome for
+    /// the driver) and returns `None`, and the caller must park.
+    fn pass_baton<'a>(
+        &'a self,
+        me: Option<ProcId>,
+        mut st: MutexGuard<'a, EngineState>,
+    ) -> Option<ResumeReason> {
+        let outcome = loop {
+            let step = st.next();
+            drop(st);
+            match step {
+                Step::Call(f) => {
+                    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
+                        break Err(payload);
+                    }
+                }
+                Step::Resume { proc, reason, parker, dispatch } => {
+                    announce(dispatch);
+                    if me == Some(proc) {
+                        return Some(reason);
+                    }
+                    parker.post(reason);
+                    return None;
+                }
+                Step::End(result) => break Ok(result),
+            }
+            st = self.state.lock();
+        };
+        self.hand_back(Some(outcome));
+        None
+    }
+
+    /// Gives the baton back to the thread in [`Simulation::run`], with the
+    /// run's outcome if it ended.
+    fn hand_back(&self, outcome: Option<Outcome>) {
+        let driver = {
+            let mut st = self.state.lock();
+            st.outcome = outcome;
+            st.baton_home = true;
+            st.driver.clone()
+        };
+        // The driver ends the run itself when no process ever takes the baton.
+        if let Some(driver) = driver.filter(|d| d.id() != thread::current().id()) {
+            driver.unpark();
+        }
+    }
+
+    /// Parks the driver until the baton comes back; returns the run's
+    /// outcome if it ended.
+    fn wait_baton(&self) -> Option<Outcome> {
+        loop {
+            let mut st = self.state.lock();
+            if std::mem::take(&mut st.baton_home) {
+                return st.outcome.take();
+            }
+            drop(st);
+            thread::park();
+        }
     }
 }
 
@@ -300,6 +503,14 @@ pub enum SimError {
         /// The budget that was exceeded.
         limit: u64,
     },
+    /// The OS refused to start a simulated process's thread; the process
+    /// was unregistered, so joining it returns at once.
+    SpawnFailed {
+        /// Name of the process that never started.
+        name: String,
+        /// The OS error.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -313,6 +524,9 @@ impl fmt::Display for SimError {
             }
             SimError::EventLimitExceeded { limit } => {
                 write!(f, "simulation exceeded the event budget of {limit}")
+            }
+            SimError::SpawnFailed { name, message } => {
+                write!(f, "could not start simulated process '{name}': {message}")
             }
         }
     }
@@ -336,10 +550,6 @@ pub struct RunReport {
 /// See the [module documentation](self) for an overview and example.
 pub struct Simulation {
     shared: Arc<EngineShared>,
-    event_limit: u64,
-    events_fired: u64,
-    policy: Option<Box<dyn SchedulePolicy>>,
-    choice_log: Vec<ChoicePoint>,
     step_observer: Option<Box<dyn FnMut()>>,
 }
 
@@ -352,7 +562,6 @@ impl Default for Simulation {
 impl Simulation {
     /// Creates an empty simulation at `t = 0`.
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = xchan::unbounded();
         Simulation {
             shared: Arc::new(EngineShared {
                 state: Mutex::new(EngineState {
@@ -361,21 +570,24 @@ impl Simulation {
                     procs: ProcSlab::new(),
                     live: 0,
                     trace: None,
+                    fired: 0,
+                    limit: u64::MAX,
+                    policy: None,
+                    choice_log: Vec::new(),
+                    spawn_error: None,
+                    stepped: false,
+                    driver: None,
+                    baton_home: false,
+                    outcome: None,
                 }),
-                yield_tx,
-                yield_rx,
             }),
-            event_limit: u64::MAX,
-            events_fired: 0,
-            policy: None,
-            choice_log: Vec::new(),
             step_observer: None,
         }
     }
 
     /// Caps the number of events a [`run`](Self::run) may fire (runaway guard).
     pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
+        self.shared.state.lock().limit = limit;
     }
 
     /// Installs a [`SchedulePolicy`] that breaks same-instant ties.
@@ -384,17 +596,18 @@ impl Simulation {
     /// with [`take_choice_log`](Self::take_choice_log) after (or instead of)
     /// a successful run — the log survives an erroring run too.
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        self.policy = Some(policy);
+        self.shared.state.lock().policy = Some(policy);
     }
 
     /// Takes the tie-break decisions recorded so far, leaving the log empty.
     pub fn take_choice_log(&mut self) -> Vec<ChoicePoint> {
-        std::mem::take(&mut self.choice_log)
+        std::mem::take(&mut self.shared.state.lock().choice_log)
     }
 
     /// Installs a closure invoked after every fired event, with no engine
     /// lock held and no simulated process running — the safe window for
-    /// invariant oracles to snapshot shared state.
+    /// invariant oracles to snapshot shared state. It runs on the thread
+    /// that called [`run`](Self::run).
     pub fn set_step_observer(&mut self, obs: Box<dyn FnMut()>) {
         self.step_observer = Some(obs);
     }
@@ -419,12 +632,15 @@ impl Simulation {
     ///
     /// The returned handle exposes the process result after it finishes (see
     /// [`ProcHandle::take_result`]) and can be joined from other processes.
+    /// If the OS cannot start the process's thread, the next
+    /// [`run`](Self::run) returns [`SimError::SpawnFailed`].
     pub fn spawn<T, F>(&self, name: &str, f: F) -> ProcHandle<T>
     where
         T: Send + 'static,
         F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
     {
-        process::spawn(Arc::clone(&self.shared), name, f)
+        let shared = Arc::clone(&self.shared);
+        process::spawn_with(thread::Builder::new(), shared, name, None, telemetry::ENGINE_LANE, f)
     }
 
     /// Runs the simulation until the event queue drains.
@@ -432,150 +648,43 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if processes remain blocked with no
-    /// pending events, [`SimError::ProcessPanicked`] if a process panics, and
-    /// [`SimError::EventLimitExceeded`] if the event budget is exhausted.
+    /// pending events, [`SimError::ProcessPanicked`] if a process panics,
+    /// [`SimError::EventLimitExceeded`] if the event budget is exhausted and
+    /// [`SimError::SpawnFailed`] if a process thread could not be started.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside a scheduled closure unwinds out of `run` with its
+    /// original payload.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
+        let mut st = self.shared.state.lock();
+        st.driver = Some(thread::current());
+        st.stepped = self.step_observer.is_some() || st.policy.is_some();
+        let outcome = if st.stepped {
+            drop(st);
+            self.run_stepped()
+        } else {
+            self.shared.pass_baton(None, st);
+            self.shared.wait_baton().unwrap_or_else(|| unreachable!("baton came home mid-run"))
+        };
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    /// The driver-stepped loop: every event is dispatched from this thread,
+    /// and the step observer runs after each one.
+    fn run_stepped(&mut self) -> Outcome {
         loop {
-            if self.events_fired >= self.event_limit {
-                return Err(SimError::EventLimitExceeded { limit: self.event_limit });
-            }
-            let (now, action) = {
-                let mut st = self.shared.state.lock();
-                match st.events.pop() {
-                    Some((t_ns, seq, action)) => {
-                        let t = SimTime::from_nanos(t_ns);
-                        debug_assert!(t >= st.now, "event queue went backwards");
-                        st.now = t;
-                        let action = match self.policy.as_mut() {
-                            Some(policy) => {
-                                // Gather every event runnable at this instant.
-                                // Pops come out in (time, seq) order, so the
-                                // batch is already seq-sorted and index 0 is
-                                // what the default tie-break would run.
-                                let mut batch = vec![(t_ns, seq, action)];
-                                while st.events.peek_time() == Some(t_ns) {
-                                    batch.push(st.events.pop().expect("peeked event vanished"));
-                                }
-                                let arity = batch.len();
-                                let chosen = if arity > 1 {
-                                    let c = policy.choose(t, arity).min(arity - 1);
-                                    self.choice_log.push(ChoicePoint {
-                                        arity: arity as u32,
-                                        chosen: c as u32,
-                                    });
-                                    c
-                                } else {
-                                    0
-                                };
-                                let (_, _, action) = batch.remove(chosen);
-                                // Deferred events keep their original keys.
-                                for (bt, bs, baction) in batch {
-                                    st.events.push_at(bt, bs, baction);
-                                }
-                                action
-                            }
-                            None => action,
-                        };
-                        (t, action)
-                    }
-                    None => {
-                        if st.live == 0 {
-                            let trace = st.trace.take().unwrap_or_default();
-                            return Ok(RunReport {
-                                end_time: st.now,
-                                events_fired: self.events_fired,
-                                trace,
-                            });
-                        }
-                        let blocked = st
-                            .procs
-                            .iter()
-                            .filter(|p| p.state == ProcState::Blocked)
-                            .map(|p| p.name.clone())
-                            .collect();
-                        return Err(SimError::Deadlock { blocked });
-                    }
-                }
-            };
-            self.events_fired += 1;
-            match action {
-                EventAction::Call(f) => f(),
-                EventAction::Resume { proc, gen, reason } => {
-                    let trace_on;
-                    let tele_on = telemetry::engine_instants();
-                    let prepared = {
-                        let mut st = self.shared.state.lock();
-                        trace_on = st.trace.is_some();
-                        let prepared = match st.procs.get_mut(proc) {
-                            Some(slot)
-                                if slot.state == ProcState::Blocked && slot.wait_gen == gen =>
-                            {
-                                slot.state = ProcState::Running;
-                                let name = (trace_on || tele_on).then(|| slot.name.clone());
-                                Some((slot.resume_tx.clone(), name))
-                            }
-                            // Stale wake-up (e.g. raced timeout) or finished.
-                            _ => None,
-                        };
-                        if trace_on {
-                            if let Some((_, Some(name))) = &prepared {
-                                let entry = format!("{now} {name}");
-                                st.trace.as_mut().expect("trace enabled").push(entry);
-                            }
-                        }
-                        prepared
-                    };
-                    let Some((resume_tx, name)) = prepared else { continue };
-                    // Telemetry runs outside the state lock, and the
-                    // "dispatch" string is only built when the engine lane
-                    // is actually recording.
-                    if tele_on {
-                        let name = name.as_deref().unwrap_or("");
-                        telemetry::with(|r| {
-                            r.instant(
-                                telemetry::ENGINE_LANE,
-                                now.as_nanos(),
-                                &format!("dispatch {name}"),
-                                None,
-                            );
-                        });
-                    }
-                    telemetry::counter_add("engine.dispatches", 1);
-                    resume_tx.send(reason).expect("simulated process vanished while blocked");
-                    let y = self
-                        .shared
-                        .yield_rx
-                        .recv()
-                        .expect("yield channel closed while a process was running");
-                    debug_assert_eq!(y.proc, proc, "unexpected process yielded");
-                    let mut st = self.shared.state.lock();
-                    match y.kind {
-                        YieldKind::Blocked => {
-                            if let Some(slot) = st.procs.get_mut(proc) {
-                                slot.state = ProcState::Blocked;
-                            }
-                        }
-                        YieldKind::Finished => {
-                            st.procs.remove(proc);
-                            st.live -= 1;
-                        }
-                        YieldKind::Panicked(message) => {
-                            // (step observer intentionally skipped: the run is
-                            // about to abort and report the panic instead.)
-                            let name = st
-                                .procs
-                                .remove(proc)
-                                .map(|s| s.name)
-                                .unwrap_or_else(|| "<unknown>".to_owned());
-                            st.live -= 1;
-                            drop(st);
-                            // Surface the last recorded events alongside the
-                            // crash so failures are debuggable post-mortem.
-                            if let Some(dump) = telemetry::flight_dump() {
-                                eprintln!("process '{name}' panicked; {dump}");
-                            }
-                            return Err(SimError::ProcessPanicked { name, message });
-                        }
+            let step = self.shared.state.lock().next();
+            match step {
+                Step::End(result) => return Ok(result),
+                Step::Call(f) => f(),
+                Step::Resume { reason, parker, dispatch, .. } => {
+                    announce(dispatch);
+                    parker.post(reason);
+                    if let Some(outcome) = self.shared.wait_baton() {
+                        // (step observer intentionally skipped: the run is
+                        // aborting to report a panic.)
+                        return outcome;
                     }
                 }
             }
@@ -589,11 +698,15 @@ impl Simulation {
 impl Drop for Simulation {
     fn drop(&mut self) {
         // Wake every still-blocked process with a cancellation so its thread
-        // exits instead of leaking, parked forever on its resume channel.
-        let st = self.shared.state.lock();
+        // exits instead of leaking, parked forever. A process that blocks
+        // again while unwinding hands the baton to no driver and stays
+        // parked, so nothing dispatches after the simulation is gone.
+        let mut st = self.shared.state.lock();
+        st.stepped = true;
+        st.driver = None;
         for slot in st.procs.iter() {
             if slot.state == ProcState::Blocked {
-                let _ = slot.resume_tx.send(ResumeReason::Cancel);
+                slot.parker.post(ResumeReason::Cancel);
             }
         }
     }
@@ -850,5 +963,28 @@ mod tests {
         // at 10 µs.
         let round: Vec<(u32, u32)> = (2..=8).rev().map(|arity| (arity, 0)).collect();
         assert_eq!(log, [round.clone(), round].concat());
+    }
+
+    #[test]
+    fn a_panicking_call_unwinds_out_of_run_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Boom(u32);
+        for policy in [false, true] {
+            let mut sim = Simulation::new();
+            if policy {
+                sim.set_schedule_policy(Box::new(FifoSeqPolicy));
+            }
+            // The closure fires while the sleeper is blocked, so without a
+            // policy it runs on the sleeper's thread, which holds the baton.
+            sim.spawn("sleeper", |ctx| ctx.sleep(SimDuration::from_micros(5)));
+            sim.shared.schedule_call(
+                SimTime::from_nanos(2_000),
+                Box::new(|| std::panic::panic_any(Boom(7))),
+            );
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
+            let payload = caught.expect_err("the closure's panic must unwind out of run");
+            assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(7)), "policy: {policy}");
+            assert_eq!(sim.now(), SimTime::from_nanos(2_000));
+        }
     }
 }

@@ -3,14 +3,14 @@
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 
-use crossbeam::channel as xchan;
 use parking_lot::Mutex;
 use telemetry::SpanContext;
 
-use super::{EngineShared, ResumeReason, SimReceiver, SimSender, YieldKind, YieldMsg};
+use super::{EngineShared, ResumeReason, SimReceiver, SimSender, YieldKind};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process, unique within one [`Simulation`].
@@ -54,6 +54,38 @@ impl fmt::Display for ProcId {
 /// Sentinel panic payload used to unwind a simulated process on teardown.
 struct Cancelled;
 
+/// A process thread's one-slot wake-up mailbox: the waker stores the
+/// [`ResumeReason`], then unparks the thread. A process is resumed at most
+/// once per block, so the slot never holds two reasons.
+#[derive(Default)]
+pub(crate) struct Parker {
+    /// 0 when empty, else a `ResumeReason` discriminant. `post` stores it
+    /// with Release and `wait` takes it with Acquire, so everything the
+    /// waker did happens before the woken thread runs.
+    word: AtomicU8,
+    /// Set by the spawner before any resume can be dispatched.
+    thread: OnceLock<Thread>,
+}
+
+impl Parker {
+    pub(crate) fn post(&self, reason: ResumeReason) {
+        self.word.store(reason as u8, Ordering::Release);
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
+        }
+    }
+
+    fn wait(&self) -> ResumeReason {
+        use ResumeReason::*;
+        loop {
+            match self.word.swap(0, Ordering::Acquire) {
+                0 => thread::park(),
+                word => return [Start, Woken, Timeout, Cancel][usize::from(word) - 1],
+            }
+        }
+    }
+}
+
 /// Execution context handed to every simulated process.
 ///
 /// All blocking operations (sleeping, channel receives, joins) go through
@@ -61,7 +93,7 @@ struct Cancelled;
 pub struct ProcCtx {
     pub(crate) shared: Arc<EngineShared>,
     pub(crate) proc: ProcId,
-    pub(crate) resume_rx: xchan::Receiver<ResumeReason>,
+    parker: Arc<Parker>,
     name: String,
     /// Ambient telemetry span context; inherited by `spawn`ed children and
     /// updated by message receives that carry a piggybacked context.
@@ -141,7 +173,8 @@ impl ProcCtx {
         T: Send + 'static,
         F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
     {
-        spawn_with(Arc::clone(&self.shared), name, self.trace_ctx.get(), self.lane.get(), f)
+        let (trace_ctx, lane) = (self.trace_ctx.get(), self.lane.get());
+        spawn_with(thread::Builder::new(), Arc::clone(&self.shared), name, trace_ctx, lane, f)
     }
 
     /// Creates an unbounded simulated channel.
@@ -154,19 +187,20 @@ impl ProcCtx {
         super::SimSemaphore::from_shared(Arc::clone(&self.shared), permits)
     }
 
-    /// Parks this process until the scheduler resumes it.
+    /// Blocks this process until the engine resumes it, dispatching the
+    /// events in between on this thread while it holds the baton.
     ///
     /// The caller must already have registered a wake-up (timer, channel
     /// waiter, ...) under the current wait generation.
     pub(crate) fn yield_and_wait(&mut self) -> ResumeReason {
-        self.shared
-            .yield_tx
-            .send(YieldMsg { proc: self.proc, kind: YieldKind::Blocked })
-            .expect("scheduler disappeared");
-        match self.resume_rx.recv() {
-            Ok(ResumeReason::Cancel) | Err(_) => panic::panic_any(Cancelled),
-            Ok(reason) => reason,
+        let reason = match self.shared.yield_baton(self.proc, YieldKind::Blocked) {
+            Some(reason) => reason,
+            None => self.parker.wait(),
+        };
+        if reason == ResumeReason::Cancel {
+            panic::panic_any(Cancelled);
         }
+        reason
     }
 
     /// Bumps and returns this process's wait generation.
@@ -225,15 +259,9 @@ impl<T: Send + 'static> ProcHandle<T> {
     }
 }
 
-pub(crate) fn spawn<T, F>(shared: Arc<EngineShared>, name: &str, f: F) -> ProcHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
-{
-    spawn_with(shared, name, None, telemetry::ENGINE_LANE, f)
-}
-
+/// Spawns a process on a thread from `builder` (which this names).
 pub(crate) fn spawn_with<T, F>(
+    builder: thread::Builder,
     shared: Arc<EngineShared>,
     name: &str,
     trace_ctx: Option<SpanContext>,
@@ -244,57 +272,83 @@ where
     T: Send + 'static,
     F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
 {
-    let (resume_tx, resume_rx) = xchan::unbounded();
-    let id = shared.register_proc(name, resume_tx);
+    let parker = Arc::new(Parker::default());
+    let id = shared.register_proc(name, Arc::clone(&parker));
     let result = Arc::new(Mutex::new(None));
     let (done_tx, done_rx) = super::channel::channel(Arc::clone(&shared));
 
     let thread_result = Arc::clone(&result);
-    let thread_shared = Arc::clone(&shared);
-    let thread_name = name.to_owned();
-    thread::Builder::new()
-        .name(format!("sim-{name}"))
-        .spawn(move || {
-            let mut ctx = ProcCtx {
-                shared: thread_shared,
-                proc: id,
-                resume_rx,
-                name: thread_name,
-                trace_ctx: Cell::new(trace_ctx),
-                lane: Cell::new(lane),
-            };
-            // Wait for the first activation.
-            match ctx.resume_rx.recv() {
-                Ok(ResumeReason::Start) => {}
-                Ok(ResumeReason::Cancel) | Err(_) => return,
-                Ok(other) => unreachable!("first resume must be Start, got {other:?}"),
+    let mut ctx = ProcCtx {
+        shared: Arc::clone(&shared),
+        proc: id,
+        parker: Arc::clone(&parker),
+        name: name.to_owned(),
+        trace_ctx: Cell::new(trace_ctx),
+        lane: Cell::new(lane),
+    };
+    let body = move || {
+        // Wait for the first activation.
+        match ctx.parker.wait() {
+            ResumeReason::Start => {}
+            ResumeReason::Cancel => return,
+            other => unreachable!("first resume must be Start, got {other:?}"),
+        }
+        let kind = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+            Ok(value) => {
+                *thread_result.lock() = Some(value);
+                let _ = done_tx.send(());
+                YieldKind::Finished
             }
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-            match outcome {
-                Ok(value) => {
-                    *thread_result.lock() = Some(value);
-                    let _ = done_tx.send(());
-                    drop(done_tx);
-                    let _ =
-                        ctx.shared.yield_tx.send(YieldMsg { proc: id, kind: YieldKind::Finished });
-                }
-                Err(payload) => {
-                    if payload.downcast_ref::<Cancelled>().is_some() {
-                        return; // teardown, exit silently
-                    }
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_owned());
-                    let _ = ctx
-                        .shared
-                        .yield_tx
-                        .send(YieldMsg { proc: id, kind: YieldKind::Panicked(message) });
-                }
-            }
-        })
-        .expect("failed to spawn simulation process thread");
-
+            // Teardown: exit silently.
+            Err(payload) if payload.is::<Cancelled>() => return,
+            Err(payload) => YieldKind::Panicked(
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_owned()),
+            ),
+        };
+        drop(done_tx);
+        let next = ctx.shared.yield_baton(id, kind);
+        debug_assert!(next.is_none(), "a finished process was resumed");
+    };
+    match builder.name(format!("sim-{name}")).spawn(body) {
+        Ok(thread) => {
+            let _ = parker.thread.set(thread.thread().clone());
+        }
+        // The failed spawn dropped `body` and with it the process's
+        // completion sender, so joining the handle returns at once.
+        Err(err) => shared.spawn_failed(id, err.to_string()),
+    }
     ProcHandle { id, name: name.to_owned(), result, done_rx }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{SimError, Simulation};
+
+    #[test]
+    fn a_thread_that_fails_to_spawn_is_a_typed_error_and_joining_it_returns() {
+        let mut sim = Simulation::new();
+        // No OS maps a 1 EiB stack, so this spawn fails.
+        let huge = thread::Builder::new().stack_size(1 << 60);
+        let shared = Arc::clone(&sim.shared);
+        let ghost = spawn_with(huge, shared, "ghost", None, telemetry::ENGINE_LANE, |_| 7u32);
+        let joiner = sim.spawn("joiner", move |ctx| {
+            ghost.join(ctx);
+            (ghost.take_result(), ctx.now())
+        });
+        match sim.run() {
+            Err(SimError::SpawnFailed { name, message }) => {
+                assert_eq!(name, "ghost");
+                assert!(!message.is_empty());
+            }
+            other => panic!("expected SpawnFailed, got {other:?}"),
+        }
+        // The failure is reported once; the next run finds the ghost gone.
+        sim.run().unwrap();
+        assert_eq!(joiner.take_result(), Some((None, SimTime::ZERO)));
+    }
 }
