@@ -75,14 +75,6 @@ impl LoadRow {
     }
 }
 
-fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 /// Runs one open-loop load point and returns its accounting.
 pub fn run_load_point(system: &'static str, config: SchedConfig, rate: f64) -> LoadRow {
     let n = (rate * SWEEP_SECONDS).round() as usize;
@@ -127,8 +119,8 @@ pub fn run_load_point(system: &'static str, config: SchedConfig, rate: f64) -> L
         rejected: stats.rejected,
         failed: stats.failed,
         lost: stats.submitted - accounted.min(stats.submitted),
-        p50: percentile(&latencies, 0.50),
-        p99: percentile(&latencies, 0.99),
+        p50: crate::percentile(&latencies, 0.50),
+        p99: crate::percentile(&latencies, 0.99),
     }
 }
 

@@ -107,14 +107,6 @@ impl TenantPoint {
     }
 }
 
-fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 /// Runs one scenario and returns per-tenant accounting keyed by raw tenant
 /// id. In [`Scenario::NoTenancy`] every request is submitted as the system
 /// tenant; the result is still keyed by the *originating* tenant so the
@@ -237,8 +229,8 @@ pub fn run_scenario(scenario: Scenario) -> BTreeMap<u32, TenantPoint> {
     for (t, mut lats) in latencies {
         lats.sort();
         let point = points.entry(t).or_default();
-        point.p50 = percentile(&lats, 0.50);
-        point.p99 = percentile(&lats, 0.99);
+        point.p50 = crate::percentile(&lats, 0.50);
+        point.p99 = crate::percentile(&lats, 0.99);
     }
     points
 }

@@ -20,8 +20,7 @@ use molecule_core::executor::launch_executor;
 use molecule_core::keepalive::Lru;
 use molecule_core::schedule::Scheduler;
 use molecule_core::{
-    ApiGateway, GatewayConfig, HealthChecker, HealthPolicy, Molecule, MoleculeConfig,
-    RecoveryReport,
+    ApiGateway, GatewayConfig, HealthChecker, Molecule, MoleculeConfig, RecoveryReport,
 };
 use vsandbox::spec::FuncId;
 
@@ -107,7 +106,7 @@ pub fn dpu_crash_alexa(seed: u64) -> ScenarioReport {
         GatewayConfig::default(),
         Box::new(Lru::new()),
     );
-    let health = HealthChecker::new(gateway.clone(), HealthPolicy::default());
+    let health = HealthChecker::new(gateway.clone());
 
     let mut sim = Simulation::new();
     inject::spawn_injector(&mut sim, &machine, &plan);

@@ -19,6 +19,7 @@ use hetsim::time::SimDuration;
 use telemetry::SpanContext;
 use vsandbox::spec::FuncId;
 use xpu_shim::cap::Perm;
+use xpu_shim::cluster::RETRY_MAX_ATTEMPTS;
 use xpu_shim::fifo::XpuFifoWriter;
 use xpu_shim::id::GlobalUuid;
 
@@ -456,13 +457,12 @@ impl ExecutorHandle {
         while self.reply_fifo.try_read(ctx).is_ok() {}
         let key = self.cluster.fresh_idempotency_key();
         let frame = command.encode_keyed(key, ctx.trace_ctx());
-        let attempts = self.cluster.config().retry.max_attempts.max(1);
         let t0 = ctx.now();
-        for attempt in 0..attempts {
+        for attempt in 0..RETRY_MAX_ATTEMPTS {
             match self.command_writer.write_with_retry(ctx, frame.clone()) {
                 Ok(()) => {}
                 Err(ShimError::PeerDead(pu)) => return Err(MoleculeError::PuUnavailable(pu)),
-                Err(e) if e.is_retryable() && attempt + 1 < attempts => continue,
+                Err(e) if e.is_retryable() && attempt + 1 < RETRY_MAX_ATTEMPTS => continue,
                 Err(e) => return Err(e.into()),
             }
             let deadline = ctx.now() + timeout;
@@ -540,11 +540,10 @@ impl ExecutorHandle {
             commands.iter().map(|_| self.cluster.fresh_idempotency_key()).collect();
         let frames: Vec<Bytes> =
             commands.iter().zip(&keys).map(|(c, &k)| c.encode_keyed(k, ctx.trace_ctx())).collect();
-        let attempts = self.cluster.config().retry.max_attempts.max(1);
         let mut replies: std::collections::HashMap<u64, ExecutorReply> =
             std::collections::HashMap::new();
         let t0 = ctx.now();
-        for attempt in 0..attempts {
+        for attempt in 0..RETRY_MAX_ATTEMPTS {
             // Re-send only what is still unanswered, re-packed as one frame.
             let missing: Vec<Bytes> = keys
                 .iter()
@@ -555,7 +554,7 @@ impl ExecutorHandle {
             match self.command_writer.write_with_retry(ctx, encode_batch(&missing)) {
                 Ok(()) => {}
                 Err(ShimError::PeerDead(pu)) => return Err(MoleculeError::PuUnavailable(pu)),
-                Err(e) if e.is_retryable() && attempt + 1 < attempts => continue,
+                Err(e) if e.is_retryable() && attempt + 1 < RETRY_MAX_ATTEMPTS => continue,
                 Err(e) => return Err(e.into()),
             }
             let deadline = ctx.now() + timeout;

@@ -405,7 +405,7 @@ impl ApiGateway {
                 let avoid: Vec<PuId> = self.avoided_pus();
                 let pu = self.scheduler.place(self.molecule.machine(), &def, &avoid)?;
                 self.note_degradation(ctx, &def, pu, &avoid);
-                let how = self.effective_startup(pu);
+                let how = self.effective_startup();
                 let started = self.molecule.start_instance(ctx, func, pu, how)?;
                 let mut st = self.state.lock();
                 st.own(started.instance, func, pu);
@@ -452,7 +452,7 @@ impl ApiGateway {
         let (instance, cold) = match warm {
             Some(inst) => (inst, false),
             None => {
-                let how = self.effective_startup(pu);
+                let how = self.effective_startup();
                 let started = self.molecule.start_instance(ctx, func, pu, how)?;
                 self.state.lock().own(started.instance, func, pu);
                 (started.instance, true)
@@ -519,7 +519,7 @@ impl ApiGateway {
         if self.state.lock().avoid.contains(&pu) {
             return Err(MoleculeError::PuUnavailable(pu));
         }
-        let how = self.effective_startup(pu);
+        let how = self.effective_startup();
         let started = self.molecule.start_instance(ctx, func, pu, how)?;
         let mut st = self.state.lock();
         st.own(started.instance, func, pu);
@@ -603,14 +603,13 @@ impl ApiGateway {
         });
     }
 
-    /// Chooses the startup path for a PU: the configured scale-up if a
-    /// template exists (or none is needed), falling back to a cold baseline.
-    fn effective_startup(&self, pu: PuId) -> StartupKind {
+    /// The startup path for a scale-up: the configured kind, with a
+    /// cross-PU fork pinned to the target PU's local template.
+    fn effective_startup(&self) -> StartupKind {
         match self.config.scale_up {
-            StartupKind::CforkLocal | StartupKind::CforkXpu { .. } => StartupKind::CforkLocal,
+            StartupKind::CforkXpu { .. } => StartupKind::CforkLocal,
             other => other,
         }
-        .pick_for(pu)
     }
 
     /// Retires idle instances the keep-alive policy no longer wants.
@@ -620,7 +619,7 @@ impl ApiGateway {
     /// Teardown failures from the runtime.
     pub fn reap_idle(&self, ctx: &mut ProcCtx) -> Result<usize, MoleculeError> {
         let now = ctx.now();
-        let (to_retire, kept) = {
+        let to_retire = {
             let mut st = self.state.lock();
             // HashSet membership: one O(1) probe per idle pool instead of a
             // linear scan of the keep set for each.
@@ -648,9 +647,8 @@ impl ApiGateway {
                 st.disown(*inst);
             }
             st.stats.reaped += to_retire.len() as u64;
-            (to_retire, keep.len())
+            to_retire
         };
-        let _ = kept;
         let count = to_retire.len();
         for inst in to_retire {
             self.molecule.retire_instance(ctx, inst)?;
@@ -684,20 +682,6 @@ impl ApiGateway {
             }
         }
         Ok(())
-    }
-}
-
-impl StartupKind {
-    /// Keeps the startup kind but pins any cross-PU fork to `pu`'s local
-    /// template (the gateway issues commands from the host).
-    fn pick_for(self, pu: PuId) -> StartupKind {
-        match self {
-            StartupKind::CforkXpu { .. } => StartupKind::CforkXpu { issued_from: PuId::HOST_CPU },
-            other => {
-                let _ = pu;
-                other
-            }
-        }
     }
 }
 

@@ -33,31 +33,17 @@ use xpu_shim::error::ShimError;
 
 use crate::gateway::ApiGateway;
 
-/// Tunables of the health checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthPolicy {
-    /// Virtual time between probe rounds.
-    pub probe_interval: SimDuration,
-    /// Consecutive missed probes before a PU is declared dead.
-    pub miss_threshold: u32,
-    /// Consecutive missed probes before the circuit opens (the PU stops
-    /// receiving new work while it still might recover).
-    pub open_after: u32,
-    /// How long an open circuit waits before letting a probe through again
-    /// (half-open trial).
-    pub half_open_after: SimDuration,
-}
+/// Virtual time between probe rounds.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_micros(500);
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            probe_interval: SimDuration::from_micros(500),
-            miss_threshold: 3,
-            open_after: 1,
-            half_open_after: SimDuration::from_millis(5),
-        }
-    }
-}
+/// Consecutive missed probes before a PU is declared dead. The circuit
+/// opens on the first miss, so a PU stops receiving new work while it
+/// still might recover.
+const MISS_THRESHOLD: u32 = 3;
+
+/// How long an open circuit waits before letting a probe through again
+/// (half-open trial).
+const HALF_OPEN_AFTER: SimDuration = SimDuration::from_millis(5);
 
 /// Circuit-breaker state of one monitored PU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +127,6 @@ struct HealthState {
 #[derive(Clone)]
 pub struct HealthChecker {
     gateway: ApiGateway,
-    policy: HealthPolicy,
     /// The monitored PUs, sorted — fixed at construction, shared by all
     /// clones, iterated allocation-free by every probe round.
     monitored: Arc<Vec<PuId>>,
@@ -154,17 +139,14 @@ pub struct HealthChecker {
 
 impl std::fmt::Debug for HealthChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthChecker")
-            .field("policy", &self.policy)
-            .field("monitored", &self.monitored.len())
-            .finish()
+        f.debug_struct("HealthChecker").field("monitored", &self.monitored.len()).finish()
     }
 }
 
 impl HealthChecker {
     /// Creates a checker over `gateway`, monitoring every general-purpose
     /// PU except the host the manager runs on.
-    pub fn new(gateway: ApiGateway, policy: HealthPolicy) -> HealthChecker {
+    pub fn new(gateway: ApiGateway) -> HealthChecker {
         let machine = gateway.molecule().machine().clone();
         let host = machine.host_cpu();
         let mut monitored = Vec::new();
@@ -179,7 +161,6 @@ impl HealthChecker {
         let records = monitored.iter().map(|_| PuRecord::new()).collect();
         HealthChecker {
             gateway,
-            policy,
             monitored: Arc::new(monitored),
             index: Arc::new(index),
             state: Arc::new(Mutex::new(HealthState { records, dead: Vec::new() })),
@@ -194,11 +175,6 @@ impl HealthChecker {
     /// failover placement. Hooks run in registration order.
     pub fn on_declared_dead(&self, hook: impl Fn(&mut ProcCtx, PuId) + Send + Sync + 'static) {
         self.dead_hooks.lock().push(Arc::new(hook));
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> HealthPolicy {
-        self.policy
     }
 
     /// The monitored PUs, sorted.
@@ -252,8 +228,7 @@ impl HealthChecker {
                     continue;
                 }
                 if rec.circuit == CircuitState::Open {
-                    let aged =
-                        rec.opened_at.is_none_or(|t| ctx.now() - t >= self.policy.half_open_after);
+                    let aged = rec.opened_at.is_none_or(|t| ctx.now() - t >= HALF_OPEN_AFTER);
                     if !aged {
                         continue;
                     }
@@ -286,7 +261,7 @@ impl HealthChecker {
         for round in 0..rounds {
             out.extend(self.probe_round(ctx));
             if round + 1 < rounds {
-                ctx.sleep(self.policy.probe_interval);
+                ctx.sleep(PROBE_INTERVAL);
             }
         }
         out
@@ -323,12 +298,11 @@ impl HealthChecker {
             let rec = &mut st.records[i];
             rec.misses += 1;
             rec.first_miss_at.get_or_insert(ctx.now());
-            if rec.misses >= self.policy.miss_threshold {
+            if rec.misses >= MISS_THRESHOLD {
                 (true, false)
             } else {
                 rec.status = PuStatus::Suspect(rec.misses);
-                let should_open =
-                    rec.misses >= self.policy.open_after && rec.circuit != CircuitState::Open;
+                let should_open = rec.circuit != CircuitState::Open;
                 if should_open {
                     rec.circuit = CircuitState::Open;
                     rec.opened_at = Some(ctx.now());
@@ -445,7 +419,7 @@ mod tests {
     #[test]
     fn healthy_pus_stay_closed_and_schedulable() {
         let gw = gateway();
-        let hc = HealthChecker::new(gw.clone(), HealthPolicy::default());
+        let hc = HealthChecker::new(gw.clone());
         assert_eq!(hc.monitored_pus(), vec![PuId(1), PuId(2)]);
         let mut sim = Simulation::new();
         let hc2 = hc.clone();
@@ -462,7 +436,7 @@ mod tests {
     #[test]
     fn dead_pu_is_detected_recovered_and_requests_fail_over() {
         let gw = gateway();
-        let hc = HealthChecker::new(gw.clone(), HealthPolicy::default());
+        let hc = HealthChecker::new(gw.clone());
         let mut sim = Simulation::new();
         let gw2 = gw.clone();
         let hc2 = hc.clone();
@@ -495,7 +469,7 @@ mod tests {
     #[test]
     fn healthy_probe_readmits_a_gateway_quarantined_pu() {
         let gw = gateway();
-        let hc = HealthChecker::new(gw.clone(), HealthPolicy::default());
+        let hc = HealthChecker::new(gw.clone());
         let mut sim = Simulation::new();
         let gw2 = gw.clone();
         let hc2 = hc.clone();
@@ -514,13 +488,7 @@ mod tests {
     #[test]
     fn flapping_pu_trips_the_circuit_then_recovers() {
         let gw = gateway();
-        let policy = HealthPolicy {
-            miss_threshold: 10, // don't declare dead in this test
-            open_after: 1,
-            half_open_after: SimDuration::from_micros(100),
-            ..HealthPolicy::default()
-        };
-        let hc = HealthChecker::new(gw.clone(), policy);
+        let hc = HealthChecker::new(gw.clone());
         let mut sim = Simulation::new();
         let gw2 = gw.clone();
         let hc2 = hc.clone();
@@ -531,9 +499,10 @@ mod tests {
             hc2.probe_round(ctx);
             assert_eq!(hc2.circuit(PuId(1)), Some(CircuitState::Open));
             assert_eq!(gw2.avoided_pus(), vec![PuId(1)]);
-            // Past the hang and the half-open window: the trial probe
-            // succeeds and the circuit closes.
-            ctx.sleep(SimDuration::from_millis(2));
+            // Past the hang and the 5 ms half-open window: the trial probe
+            // succeeds and the circuit closes. One miss stays under the
+            // death threshold of 3.
+            ctx.sleep(SimDuration::from_millis(6));
             hc2.probe_round(ctx);
             assert_eq!(hc2.circuit(PuId(1)), Some(CircuitState::Closed));
             assert!(gw2.avoided_pus().is_empty());

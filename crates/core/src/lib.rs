@@ -50,7 +50,7 @@ pub mod schedule;
 pub use error::MoleculeError;
 pub use function::{ExecModel, FunctionDef, FunctionRegistry};
 pub use gateway::{ApiGateway, GatewayConfig, GatewayStats, RequestReport};
-pub use health::{CircuitState, HealthChecker, HealthPolicy, PuStatus, RecoveryReport};
+pub use health::{CircuitState, HealthChecker, PuStatus, RecoveryReport};
 pub use proxy::{ProxyClient, ProxyError, ProxyPool, ProxyPoolConfig, ProxyReply, ProxyStats};
 pub use regions::RegionDirectory;
 pub use runtime::{

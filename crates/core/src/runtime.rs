@@ -59,31 +59,11 @@ pub struct MoleculeConfig {
     /// Function containers pre-initialized per general-purpose PU
     /// (the "FuncContainer" optimization; 0 disables it).
     pub preinit_containers_per_pu: usize,
-    /// Apply the cpuset lock kernel patch ("Cpuset opt").
-    pub cpuset_patch: bool,
-    /// Templates are *dedicated* (function code + dependencies preloaded),
-    /// as Molecule does for hot functions (§4.2). When false, templates are
-    /// generic per language and cforked children still pay the function's
-    /// init cost.
-    pub dedicated_templates: bool,
-    /// Price table for metering.
-    pub prices: PriceTable,
-    /// cfork children with the dense memory profile (small private working
-    /// set, most of the template kept COW-shared) — the 10k-sandboxes-per-PU
-    /// configuration.
-    pub dense_sandboxes: bool,
 }
 
 impl Default for MoleculeConfig {
     fn default() -> Self {
-        MoleculeConfig {
-            shim: ShimConfig::default(),
-            preinit_containers_per_pu: 8,
-            cpuset_patch: true,
-            dedicated_templates: true,
-            prices: PriceTable::default(),
-            dense_sandboxes: false,
-        }
+        MoleculeConfig { shim: ShimConfig::default(), preinit_containers_per_pu: 8 }
     }
 }
 
@@ -196,9 +176,8 @@ impl Molecule {
             match pu.kind {
                 PuKind::Cpu | PuKind::Dpu | PuKind::SmartNic => {
                     let os = machine.os(pu.id).expect("gp PU has an OS").clone();
-                    if config.cpuset_patch {
-                        os.set_cpuset_lock_mode(hetsim::os::CpusetLockMode::Mutex);
-                    }
+                    // The cpuset lock kernel patch ("Cpuset opt", §4.2).
+                    os.set_cpuset_lock_mode(hetsim::os::CpusetLockMode::Mutex);
                     runcs.insert(pu.id, RuncRuntime::new(os, &calib));
                 }
                 PuKind::Fpga => {
@@ -215,7 +194,7 @@ impl Molecule {
             inner: Arc::new(MoleculeInner {
                 machine,
                 cluster,
-                config: config.clone(),
+                config,
                 registry: FunctionRegistry::new(),
                 runcs,
                 runfs,
@@ -227,7 +206,7 @@ impl Molecule {
                     executors: HashMap::new(),
                     next_instance: 0,
                     next_sandbox: 0,
-                    meter: Meter::new(config.prices),
+                    meter: Meter::new(PriceTable::default()),
                     manager: None,
                 }),
             }),
@@ -459,18 +438,12 @@ impl Molecule {
                 })?;
                 let opts = CforkOpts {
                     use_preinit_container: self.inner.config.preinit_containers_per_pu > 0,
-                    dense: self.inner.config.dense_sandboxes,
+                    dense: false,
                 };
                 runc.cfork(ctx, &template, &sandbox, &cfg, opts)?;
-                if self.inner.config.dedicated_templates {
-                    // Code + deps preloaded in the template: only COW page
-                    // faults remain for the first run.
-                    spec.scale_compute(def.cfork_first_run)
-                } else {
-                    // Generic template: the child still loads the function's
-                    // code and dependencies, charged on first run.
-                    spec.scale_compute(def.init)
-                }
+                // Templates are dedicated (code + deps preloaded, §4.2):
+                // only COW page faults remain for the first run.
+                spec.scale_compute(def.cfork_first_run)
             }
         };
         let latency = ctx.now() - t0;

@@ -15,7 +15,7 @@ use hetsim::pu::PuKind;
 use hetsim::topology::Machine;
 use molecule_core::function::FunctionDef;
 use molecule_core::gateway::{ApiGateway, GatewayConfig};
-use molecule_core::health::{HealthChecker, HealthPolicy};
+use molecule_core::health::HealthChecker;
 use molecule_core::keepalive::Lru;
 use molecule_core::runtime::{Molecule, MoleculeConfig};
 use molecule_core::schedule::Scheduler;
@@ -86,7 +86,7 @@ fn quiet_probe_rounds_stay_allocation_lean() {
         GatewayConfig::default(),
         Box::new(Lru::new()),
     );
-    let hc = HealthChecker::new(gw, HealthPolicy::default());
+    let hc = HealthChecker::new(gw);
     assert_eq!(hc.monitored_pus().len(), 2, "paper machine monitors its two DPUs");
 
     let mut sim = Simulation::new();

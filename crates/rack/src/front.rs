@@ -4,7 +4,7 @@
 //! by the RDMA fabric tier (`hetsim::topology::RackBuilder`). This module
 //! puts a serverless control plane on it:
 //!
-//! * **One gateway per node.** Every node runs its own
+//! * **One gateway per node.** Every node runs its own default-configured
 //!   [`SchedGateway`] scoped to that node's PUs
 //!   ([`SchedGateway::new_for_pus`]), with its own run queues, keep-alive
 //!   index and [`RegionDirectory`]. Placement inside a node uses the
@@ -49,17 +49,13 @@ use crate::ring::{HashRing, DEFAULT_VNODES};
 /// Tunables of the rack front-end.
 #[derive(Debug, Clone)]
 pub struct RackConfig {
-    /// Virtual-node points per node on the placement ring.
-    pub vnodes: usize,
-    /// Configuration applied to every per-node gateway.
-    pub sched: SchedConfig,
     /// The node hosting the front-end process (requests enter here).
     pub front_node: NodeId,
 }
 
 impl Default for RackConfig {
     fn default() -> Self {
-        RackConfig { vnodes: DEFAULT_VNODES, sched: SchedConfig::default(), front_node: NodeId(0) }
+        RackConfig { front_node: NodeId(0) }
     }
 }
 
@@ -110,10 +106,10 @@ impl RackFront {
                     GatewayConfig::default(),
                     Box::new(Lru::new()),
                 );
-                SchedGateway::new_for_pus(api, config.sched.clone(), &machine.node_pus(node))
+                SchedGateway::new_for_pus(api, SchedConfig::default(), &machine.node_pus(node))
             })
             .collect();
-        let ring = HashRing::with_nodes(config.vnodes, machine.nodes());
+        let ring = HashRing::with_nodes(DEFAULT_VNODES, machine.nodes());
         RackFront {
             molecule,
             config: Arc::new(config),

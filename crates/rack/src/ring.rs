@@ -16,8 +16,9 @@ use std::collections::BTreeMap;
 
 use hetsim::pu::NodeId;
 
-/// Virtual-node points per node when not overridden: enough that 1–16-node
-/// rings stay within a small constant factor of a perfectly fair split.
+/// Virtual-node points per node on the rack front's ring: enough that
+/// 1–16-node rings stay within a small constant factor of a perfectly fair
+/// split.
 pub const DEFAULT_VNODES: usize = 128;
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -72,28 +72,9 @@ pub struct SchedConfig {
     pub cpu_tokens: usize,
     /// Concurrency tokens on each DPU / SmartNIC.
     pub dpu_tokens: usize,
-    /// Concurrency tokens on each accelerator (FPGA fabric, GPU).
-    pub accel_tokens: usize,
-    /// Score credit for serving a chain stage where the previous stage ran.
-    pub colocate_bonus: SimDuration,
-    /// Score credit for serving a function on a PU that already hosts a
-    /// replica of one of its declared shared-state regions (the
-    /// state-locality term; see [`placer::rank`]).
-    pub state_bonus: SimDuration,
-    /// Score credit for any PU on the same *rack node* as the previous
-    /// chain stage or a state-region host, keeping DAG edges and region
-    /// sync off the inter-node fabric. No effect on single-node machines.
-    pub node_bonus: SimDuration,
-    /// Default latency budget for admission control. `None` admits
-    /// everything the queues have room for.
-    pub deadline: Option<SimDuration>,
     /// How long an FPGA miss holds the fabric to coalesce co-pending cold
     /// starts into one flash. [`SimDuration::ZERO`] disables batching.
     pub batch_window: SimDuration,
-    /// Maximum requests folded into one vectorized cold-start batch.
-    pub batch_max: usize,
-    /// Kernels packed per FPGA image by the cache manager.
-    pub fpga_cache_capacity: usize,
     /// Warm-pool autoscaler; `None` leaves pools to the keep-alive policy.
     pub autoscale: Option<AutoscaleConfig>,
     /// The shared tenant table: WFQ weights and admission rate limits.
@@ -110,14 +91,7 @@ impl Default for SchedConfig {
             depth: 64,
             cpu_tokens: 4,
             dpu_tokens: 2,
-            accel_tokens: 1,
-            colocate_bonus: SimDuration::from_millis(1),
-            state_bonus: SimDuration::from_millis(2),
-            node_bonus: SimDuration::from_micros(500),
-            deadline: None,
             batch_window: SimDuration::from_millis(5),
-            batch_max: 8,
-            fpga_cache_capacity: 12,
             autoscale: None,
             tenants: Arc::new(TenantRegistry::new()),
         }
@@ -126,13 +100,12 @@ impl Default for SchedConfig {
 
 impl SchedConfig {
     /// The bench baseline: first-fit placement, an effectively unbounded
-    /// queue, no admission deadline, no batching, no autoscaler. Token
-    /// counts match the default so comparisons isolate the policy.
+    /// queue, no batching, no autoscaler. Token counts match the default so
+    /// comparisons isolate the policy.
     pub fn baseline_first_fit() -> SchedConfig {
         SchedConfig {
             mode: PlacementMode::FirstFit,
             depth: 1 << 20,
-            deadline: None,
             batch_window: SimDuration::ZERO,
             autoscale: None,
             ..SchedConfig::default()
@@ -143,7 +116,7 @@ impl SchedConfig {
         match kind {
             PuKind::Cpu => self.cpu_tokens.max(1),
             PuKind::Dpu | PuKind::SmartNic => self.dpu_tokens.max(1),
-            PuKind::Fpga | PuKind::Gpu => self.accel_tokens.max(1),
+            PuKind::Fpga | PuKind::Gpu => ACCEL_TOKENS,
         }
     }
 }
@@ -154,8 +127,8 @@ pub struct SubmitOpts {
     /// Priority lane (lower serves first).
     pub priority: Priority,
     /// Latency budget override; falls back to the function's declared
-    /// [`SloClass::Latency`](molecule_tenancy::SloClass::Latency) target,
-    /// then [`SchedConfig::deadline`].
+    /// [`SloClass::Latency`](molecule_tenancy::SloClass::Latency) target;
+    /// with neither, admission checks no budget.
     pub deadline: Option<SimDuration>,
     /// PU the previous chain stage ran on, for the co-location bonus.
     pub prev_stage: Option<PuId>,
@@ -276,6 +249,15 @@ struct Shared {
 /// EWMA smoothing factor for per-function service-time estimates.
 const SERVICE_EWMA_ALPHA: f64 = 0.2;
 
+/// Concurrency tokens on each accelerator (FPGA fabric, GPU).
+const ACCEL_TOKENS: usize = 1;
+
+/// Kernels packed per FPGA image by the cache manager.
+const FPGA_CACHE_CAPACITY: usize = 12;
+
+/// Maximum requests folded into one vectorized cold-start batch.
+const BATCH_MAX: usize = 8;
+
 /// The load-aware scheduling gateway. Cheap to clone; all clones share
 /// queues, workers and stats.
 #[derive(Clone)]
@@ -318,7 +300,7 @@ impl SchedGateway {
                     FpgaCacheManager::new(
                         api.molecule().clone(),
                         pu.id,
-                        config.fpga_cache_capacity,
+                        FPGA_CACHE_CAPACITY,
                         Box::new(Lru::new()),
                     ),
                 );
@@ -409,7 +391,7 @@ impl SchedGateway {
     /// [`RegionDirectory`](molecule_core::regions::RegionDirectory): every
     /// replica attach/detach publishes or retracts a hosting record, and
     /// the layer replays the current host set on installation. Declared
-    /// [`FunctionDef::regions`] then earn [`SchedConfig::state_bonus`] on
+    /// [`FunctionDef::regions`] then earn [`placer::STATE_BONUS`] on
     /// hosting PUs at placement time.
     ///
     /// [`FunctionDef::regions`]: molecule_core::function::FunctionDef::regions
@@ -481,12 +463,11 @@ impl SchedGateway {
         }
 
         // The declared SLO supplies the default deadline: an explicit
-        // per-submit budget still wins, batch functions get none unless the
-        // config forces one.
+        // per-submit budget still wins, batch functions get none.
         let slo = def.slo;
         let batch = slo.is_some_and(|s| s.is_batch());
         let slo_target = slo.and_then(|s| s.latency_target());
-        let budget = opts.deadline.or(slo_target).or(self.config.deadline);
+        let budget = opts.deadline.or(slo_target);
         let deadline_at = budget.map(|b| now + b);
         let weight = self.config.tenants.weight(tenant);
         let (tx, rx) = ctx.channel::<JobOutcome>();
@@ -628,17 +609,7 @@ impl SchedGateway {
                 } else {
                     self.api.region_directory().hosts_of_any(&def.regions)
                 };
-                placer::rank(
-                    machine,
-                    def,
-                    input_bytes,
-                    prev_stage,
-                    &loads,
-                    self.config.colocate_bonus,
-                    &state_hosts,
-                    self.config.state_bonus,
-                    self.config.node_bonus,
-                )
+                placer::rank(machine, def, input_bytes, prev_stage, &loads, &state_hosts)
             }
             PlacementMode::FirstFit => {
                 // Same feasibility filter, but machine order instead of the
@@ -647,17 +618,7 @@ impl SchedGateway {
                 // still carrying the estimates admission control needs.
                 let blind: Vec<PuLoad> =
                     loads.iter().map(|l| PuLoad { wait: SimDuration::ZERO, ..*l }).collect();
-                let mut cands = placer::rank(
-                    machine,
-                    def,
-                    input_bytes,
-                    None,
-                    &blind,
-                    SimDuration::ZERO,
-                    &[],
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                );
+                let mut cands = placer::rank(machine, def, input_bytes, None, &blind, &[]);
                 cands.sort_by_key(|c| c.pu);
                 cands
             }
@@ -733,14 +694,14 @@ impl SchedGateway {
         let serve_start = ctx.now();
         let miss = !cache.is_resident(&first.payload.func);
         let mut batch = vec![first];
-        if miss && self.config.batch_window > SimDuration::ZERO && self.config.batch_max > 1 {
+        if miss && self.config.batch_window > SimDuration::ZERO {
             // Hold the fabric briefly: every request that queues behind this
             // miss during the window shares its single flash.
             ctx.sleep(self.config.batch_window);
             let now = ctx.now();
             let mut sh = self.shared.lock();
             if let Some(queue) = sh.queues.get_mut(&pu) {
-                while batch.len() < self.config.batch_max {
+                while batch.len() < BATCH_MAX {
                     match queue.begin(now) {
                         Some(job) => batch.push(job),
                         None => break,
@@ -1136,11 +1097,11 @@ mod tests {
 
     #[test]
     fn unmeetable_deadlines_are_rejected_up_front() {
-        let config =
-            SchedConfig { deadline: Some(SimDuration::from_micros(1)), ..SchedConfig::default() };
-        let gw = SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), config);
-        let err =
-            run_with(&gw, |ctx, g| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()).err());
+        let gw =
+            SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), SchedConfig::default());
+        let opts =
+            SubmitOpts { deadline: Some(SimDuration::from_micros(1)), ..SubmitOpts::default() };
+        let err = run_with(&gw, move |ctx, g| g.submit(ctx, &"img".into(), 1024, opts).err());
         match err {
             Some(SubmitError::Overloaded(Overloaded::DeadlineUnmeetable {
                 estimated,
@@ -1157,16 +1118,13 @@ mod tests {
     fn queued_requests_past_deadline_are_shed_not_lost() {
         // One token, generous queue: the head request monopolises service
         // long enough that the tail blows its deadline while queued.
-        let config = SchedConfig {
-            cpu_tokens: 1,
-            dpu_tokens: 1,
-            deadline: Some(SimDuration::from_millis(40)),
-            ..SchedConfig::default()
-        };
+        let config = SchedConfig { cpu_tokens: 1, dpu_tokens: 1, ..SchedConfig::default() };
         let gw = SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), config);
-        let outcomes = run_with(&gw, |ctx, g| {
+        let opts =
+            SubmitOpts { deadline: Some(SimDuration::from_millis(40)), ..SubmitOpts::default() };
+        let outcomes = run_with(&gw, move |ctx, g| {
             let rxs: Vec<_> = (0..10)
-                .map(|_| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()))
+                .map(|_| g.submit(ctx, &"img".into(), 1024, opts))
                 .filter_map(Result::ok)
                 .collect();
             rxs.into_iter().map(|rx| rx.recv(ctx).unwrap()).collect::<Vec<_>>()

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! score(pu) = exec(pu) + cold_start(pu) + queue_wait(pu)
-//!             + slo_term(pu) - colocate_bonus - state_bonus
+//!             + slo_term(pu) - COLOCATE_BONUS - STATE_BONUS - NODE_BONUS
 //! ```
 //!
 //! * `exec(pu)` — the function's execution-time estimate on that PU, from
@@ -18,11 +18,11 @@
 //!   image flash + sandbox prep on FPGAs, module load on GPUs);
 //! * `queue_wait(pu)` — live queue depth × EWMA service time, supplied by
 //!   the caller from its [`RunQueue`]s;
-//! * `colocate_bonus` — subtracted when `pu` equals the previous chain
+//! * [`COLOCATE_BONUS`] (1 ms) — subtracted when `pu` equals the previous chain
 //!   stage's PU, keeping the paper's §5 chain co-location as a scoring
 //!   preference (DAG stages still exploit nIPC direct-connect) instead of
 //!   an absolute rule;
-//! * `state_bonus` — subtracted when `pu` already hosts a replica of one of
+//! * [`STATE_BONUS`] (2 ms) — subtracted when `pu` already hosts a replica of one of
 //!   the function's declared shared-state regions
 //!   ([`FunctionDef::regions`]): running where the pages live turns the
 //!   region attach into a `map_shared` of resident pages instead of a
@@ -136,31 +136,38 @@ pub fn cold_estimate(machine: &Machine, def: &FunctionDef, pu: PuId) -> SimDurat
     }
 }
 
+/// Score credit for serving a chain stage where the previous stage ran.
+pub const COLOCATE_BONUS: SimDuration = SimDuration::from_millis(1);
+
+/// Score credit for a PU that already hosts a replica of one of the
+/// function's declared shared-state regions.
+pub const STATE_BONUS: SimDuration = SimDuration::from_millis(2);
+
+/// Score credit for any PU on the same rack node as the previous chain
+/// stage or a state-region host.
+pub const NODE_BONUS: SimDuration = SimDuration::from_micros(500);
+
 /// Ranks the candidate PUs in `loads` for `def`, best first.
 ///
 /// Only PUs in `loads` that the function supports *and* that pass the
 /// capacity check ([`Scheduler::pu_has_capacity`] — memory headroom on
 /// general PUs, fabric/slot headroom on accelerators) are considered.
-/// `prev_stage` earns its PU the `colocate_bonus` score credit; PUs in
+/// `prev_stage` earns its PU the [`COLOCATE_BONUS`] score credit; PUs in
 /// `state_hosts` (replica holders of the function's declared regions, from
-/// the gateway's `RegionDirectory`) earn `state_bonus`.
+/// the gateway's `RegionDirectory`) earn [`STATE_BONUS`].
 ///
 /// On a rack, any PU sharing a *node* with `prev_stage` or a state host
-/// earns `node_bonus`: even when the exact PU is busy, keeping a DAG stage
-/// or region consumer on the same node avoids the fabric tier entirely.
-/// Single-node machines are unaffected (every PU is on the preferred node,
-/// so the term cancels out of the ranking).
-#[allow(clippy::too_many_arguments)]
+/// earns [`NODE_BONUS`]: even when the exact PU is busy, keeping a DAG
+/// stage or region consumer on the same node avoids the fabric tier
+/// entirely. Single-node machines are unaffected (every PU is on the
+/// preferred node, so the term cancels out of the ranking).
 pub fn rank(
     machine: &Machine,
     def: &FunctionDef,
     input: u64,
     prev_stage: Option<PuId>,
     loads: &[PuLoad],
-    colocate_bonus: SimDuration,
     state_hosts: &[PuId],
-    state_bonus: SimDuration,
-    node_bonus: SimDuration,
 ) -> Vec<Candidate> {
     let preferred_nodes: Vec<_> = if machine.node_count() > 1 {
         let mut nodes: Vec<_> =
@@ -198,13 +205,13 @@ pub fn rank(
             None => {}
         }
         if prev_stage == Some(load.pu) {
-            score = score.saturating_sub(colocate_bonus);
+            score = score.saturating_sub(COLOCATE_BONUS);
         }
         if state_hosts.contains(&load.pu) {
-            score = score.saturating_sub(state_bonus);
+            score = score.saturating_sub(STATE_BONUS);
         }
         if preferred_nodes.contains(&machine.node_of(load.pu)) {
-            score = score.saturating_sub(node_bonus);
+            score = score.saturating_sub(NODE_BONUS);
         }
         out.push(Candidate { pu: load.pu, score, exec, cold, wait: load.wait });
     }
@@ -233,17 +240,7 @@ mod tests {
     fn unloaded_cpu_beats_slower_dpus() {
         let machine = Machine::paper_cpu_dpu_server();
         let loads = [idle(PuId(0)), idle(PuId(1)), idle(PuId(2))];
-        let ranked = rank(
-            &machine,
-            &def(),
-            0,
-            None,
-            &loads,
-            SimDuration::ZERO,
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        let ranked = rank(&machine, &def(), 0, None, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(0), "CPU exec 10ms < DPU exec 62ms");
         assert_eq!(ranked.len(), 3);
     }
@@ -257,17 +254,7 @@ mod tests {
             idle(PuId(1)),
             idle(PuId(2)),
         ];
-        let ranked = rank(
-            &machine,
-            &def(),
-            0,
-            None,
-            &loads,
-            SimDuration::ZERO,
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        let ranked = rank(&machine, &def(), 0, None, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "load-aware: overflow to the idle DPU");
     }
 
@@ -286,17 +273,7 @@ mod tests {
             PuLoad { pu: PuId(0), wait: SimDuration::ZERO, warm: false },
             PuLoad { pu: PuId(1), wait: SimDuration::ZERO, warm: true },
         ];
-        let ranked = rank(
-            &machine,
-            &quick,
-            0,
-            None,
-            &loads,
-            SimDuration::ZERO,
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        let ranked = rank(&machine, &quick, 0, None, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "warm DPU beats cold CPU for a tiny function");
         assert_eq!(ranked[0].cold, SimDuration::ZERO);
         assert!(ranked[1].cold > SimDuration::ZERO);
@@ -311,30 +288,10 @@ mod tests {
             .exec_ms(1.0)
             .build();
         // Identical DPUs: without the bonus, the lower PU id wins the tie.
-        let plain = rank(
-            &machine,
-            &dpu_fn,
-            0,
-            None,
-            &loads,
-            SimDuration::from_millis(1),
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        let plain = rank(&machine, &dpu_fn, 0, None, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
         // With the previous stage on PU 2, the bonus flips the choice.
-        let chained = rank(
-            &machine,
-            &dpu_fn,
-            0,
-            Some(PuId(2)),
-            &loads,
-            SimDuration::from_millis(1),
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        let chained = rank(&machine, &dpu_fn, 0, Some(PuId(2)), &loads, &[]);
         assert_eq!(chained[0].pu, PuId(2), "chain co-location is a scoring bonus");
     }
 
@@ -348,30 +305,10 @@ mod tests {
             .region("weights")
             .build();
         // Identical DPUs: lower id wins without the term...
-        let plain = rank(
-            &machine,
-            &dpu_fn,
-            0,
-            None,
-            &loads,
-            SimDuration::ZERO,
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        let plain = rank(&machine, &dpu_fn, 0, None, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
         // ...but PU 2 hosting the region's pages flips the choice.
-        let steered = rank(
-            &machine,
-            &dpu_fn,
-            0,
-            None,
-            &loads,
-            SimDuration::ZERO,
-            &[PuId(2)],
-            SimDuration::from_millis(1),
-            SimDuration::ZERO,
-        );
+        let steered = rank(&machine, &dpu_fn, 0, None, &loads, &[PuId(2)]);
         assert_eq!(steered[0].pu, PuId(2), "state locality is a scoring bonus");
         // The bonus saturates: it can prefer, never produce negative scores.
         assert!(steered[0].score <= plain[1].score);
@@ -384,8 +321,7 @@ mod tests {
         // function rides the backlog (50ms < 62ms)...
         let loads =
             [PuLoad { pu: PuId(0), wait: SimDuration::from_millis(40), warm: true }, idle(PuId(1))];
-        let zero = SimDuration::ZERO;
-        let plain = rank(&machine, &def(), 0, None, &loads, zero, &[], zero, zero);
+        let plain = rank(&machine, &def(), 0, None, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(0), "plain: 10+40 < 62");
         // ...a latency-SLO function double-counts the wait and flees to the
         // idle DPU (10+40+40 > 62)...
@@ -395,13 +331,13 @@ mod tests {
             .cfork_first_run_ms(1.0)
             .slo_latency_ms(100.0)
             .build();
-        let ranked = rank(&machine, &lat, 0, None, &loads, zero, &[], zero, zero);
+        let ranked = rank(&machine, &lat, 0, None, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "latency SLO flees the deep queue");
         // ...and a batch function absorbs an even deeper queue the plain
         // function would flee (70-30 < 62 while 10+60 > 62).
         let deep =
             [PuLoad { pu: PuId(0), wait: SimDuration::from_millis(60), warm: true }, idle(PuId(1))];
-        let plain_deep = rank(&machine, &def(), 0, None, &deep, zero, &[], zero, zero);
+        let plain_deep = rank(&machine, &def(), 0, None, &deep, &[]);
         assert_eq!(plain_deep[0].pu, PuId(1), "plain flees a 60ms backlog");
         let batch = FunctionDef::builder("bulk", LangRuntime::Python)
             .profiles(&[PuKind::Cpu, PuKind::Dpu])
@@ -409,7 +345,7 @@ mod tests {
             .cfork_first_run_ms(1.0)
             .slo_batch()
             .build();
-        let absorbed = rank(&machine, &batch, 0, None, &deep, zero, &[], zero, zero);
+        let absorbed = rank(&machine, &batch, 0, None, &deep, &[]);
         assert_eq!(absorbed[0].pu, PuId(0), "batch absorbs the backlog");
     }
 
@@ -422,33 +358,13 @@ mod tests {
             .exec_ms(1.0)
             .build();
         let loads = [idle(PuId(1)), idle(PuId(3))];
-        // The previous stage ran on node 1's host. Without the node term the
-        // identical DPUs tie and the lower id wins...
-        let plain = rank(
-            &machine,
-            &dpu_fn,
-            0,
-            Some(PuId(2)),
-            &loads,
-            SimDuration::ZERO,
-            &[],
-            SimDuration::ZERO,
-            SimDuration::ZERO,
-        );
+        // Without a previous stage the identical DPUs tie and the lower id
+        // wins...
+        let plain = rank(&machine, &dpu_fn, 0, None, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
-        // ...with it, the neighbour DPU on the previous stage's node wins,
-        // keeping the DAG edge off the rack fabric.
-        let steered = rank(
-            &machine,
-            &dpu_fn,
-            0,
-            Some(PuId(2)),
-            &loads,
-            SimDuration::ZERO,
-            &[],
-            SimDuration::ZERO,
-            SimDuration::from_micros(500),
-        );
+        // ...with the previous stage on node 1's host, the neighbour DPU on
+        // that node wins, keeping the DAG edge off the rack fabric.
+        let steered = rank(&machine, &dpu_fn, 0, Some(PuId(2)), &loads, &[]);
         assert_eq!(steered[0].pu, PuId(3), "node locality is a scoring bonus");
     }
 }

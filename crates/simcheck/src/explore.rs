@@ -35,7 +35,10 @@ use crate::shrink::{nonzero_choices, shrink_choices, shrink_plan};
 /// outcome, turns the evidence the scenario collected into pass/fail.
 pub type Check = Box<dyn FnOnce(&Result<RunReport, SimError>) -> Result<(), String>>;
 
-/// Exploration budget and knobs.
+/// Per-run engine event limit (guards against livelocking schedules).
+const EVENT_LIMIT: u64 = 2_000_000;
+
+/// Exploration budget.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Total schedules to run (DFS + shuffled top-up), minimum 1.
@@ -44,22 +47,11 @@ pub struct ExploreOptions {
     pub seed: u64,
     /// Maximum non-default tie-breaks per DFS-generated schedule.
     pub preemption_bound: usize,
-    /// Per-run engine event limit (guards against livelocking schedules).
-    pub event_limit: u64,
-    /// Shrink the repro on violation. Costs extra runs; turn off only when
-    /// a scenario is too slow to re-run dozens of times.
-    pub shrink: bool,
 }
 
 impl Default for ExploreOptions {
     fn default() -> ExploreOptions {
-        ExploreOptions {
-            trials: 256,
-            seed: 0x5eed_c0de,
-            preemption_bound: 3,
-            event_limit: 2_000_000,
-            shrink: true,
-        }
+        ExploreOptions { trials: 256, seed: 0x5eed_c0de, preemption_bound: 3 }
     }
 }
 
@@ -155,7 +147,7 @@ where
     // verbatim, no shrinking (the blob already is the minimal repro).
     if let Ok(blob) = std::env::var("SIMCHECK_REPLAY") {
         let choices = decode_replay(&blob).unwrap_or_else(|e| panic!("SIMCHECK_REPLAY: {e}"));
-        let (verdict, log) = run_once(&mut scenario, &plan, replay(&choices), opts.event_limit);
+        let (verdict, log) = run_once(&mut scenario, &plan, replay(&choices));
         let violation = verdict.err().map(|message| ViolationReport {
             message,
             replay: encode_replay(&choices),
@@ -186,13 +178,13 @@ where
             Some(p) => replay(p),
             None => Box::new(ShuffledPolicy::new(opts.seed ^ trials_run as u64)),
         };
-        let (verdict, log) = run_once(&mut scenario, &plan, policy, opts.event_limit);
+        let (verdict, log) = run_once(&mut scenario, &plan, policy);
         trials_run += 1;
         seen.insert(signature(&log));
 
         if let Err(message) = verdict {
             let choices: Vec<u32> = log.iter().map(|c| c.chosen).collect();
-            let violation = build_violation(opts, &plan, &mut scenario, message, choices);
+            let violation = build_violation(&plan, &mut scenario, message, choices);
             return ExploreReport {
                 trials_run,
                 distinct_schedules: seen.len(),
@@ -225,7 +217,6 @@ where
 }
 
 fn build_violation<S>(
-    opts: &ExploreOptions,
     plan: &FaultPlan,
     scenario: &mut S,
     message: String,
@@ -234,19 +225,13 @@ fn build_violation<S>(
 where
     S: FnMut(&mut Simulation, &FaultPlan) -> Check,
 {
-    let (message, choices, plan) = if opts.shrink {
-        let min_choices = shrink_choices(choices, |candidate| {
-            run_once(scenario, plan, replay(candidate), opts.event_limit).0.is_err()
-        });
-        let min_plan = shrink_plan(plan.clone(), |candidate| {
-            run_once(scenario, candidate, replay(&min_choices), opts.event_limit).0.is_err()
-        });
-        // Re-run the minimal repro for its (possibly reworded) message.
-        let (verdict, _) = run_once(scenario, &min_plan, replay(&min_choices), opts.event_limit);
-        (verdict.err().unwrap_or(message), min_choices, min_plan)
-    } else {
-        (message, choices, plan.clone())
-    };
+    let choices =
+        shrink_choices(choices, |candidate| run_once(scenario, plan, replay(candidate)).0.is_err());
+    let plan = shrink_plan(plan.clone(), |candidate| {
+        run_once(scenario, candidate, replay(&choices)).0.is_err()
+    });
+    // Re-run the minimal repro for its (possibly reworded) message.
+    let message = run_once(scenario, &plan, replay(&choices)).0.err().unwrap_or(message);
     let replay_blob = encode_replay(&choices);
     eprintln!(
         "simcheck: violation: {message}\nsimcheck: replay with SIMCHECK_REPLAY={replay_blob}\nsimcheck: minimal plan: {plan:?}"
@@ -262,13 +247,12 @@ fn run_once<S>(
     scenario: &mut S,
     plan: &FaultPlan,
     policy: Box<dyn SchedulePolicy>,
-    event_limit: u64,
 ) -> (Result<(), String>, Vec<ChoicePoint>)
 where
     S: FnMut(&mut Simulation, &FaultPlan) -> Check,
 {
     let mut sim = Simulation::new();
-    sim.set_event_limit(event_limit);
+    sim.set_event_limit(EVENT_LIMIT);
     sim.set_schedule_policy(policy);
     let check = scenario(&mut sim, plan);
     let result = sim.run();

@@ -9,8 +9,6 @@
 //! * [`matrix`] — the Fig. 2b matrix micro-workloads (real Rust kernels +
 //!   calibrated CPU/FPGA latencies) and the Table 4 resource constants;
 //! * [`fpga_apps`] — GZip, Anti-MoneyL and Matrix-Comput (Fig. 14f-h);
-//! * [`kernels`] — real compute kernels (FIPS-verified AES-128, a
-//!   partial-pivoting LINPACK solver, DD block copy) behind the workloads;
 //! * [`gnn`] — a Dorylus-style GNN training round (§2.4's motivating case
 //!   for GPU serverless functions);
 //! * [`stateful`] — stateful serverless consumers over the
@@ -25,7 +23,6 @@ pub mod fpga_apps;
 pub mod functionbench;
 pub mod generator;
 pub mod gnn;
-pub mod kernels;
 pub mod matrix;
 pub mod serverlessbench;
 pub mod stateful;

@@ -36,26 +36,19 @@ use crate::id::{GlobalUuid, ObjId, XpuPid};
 use crate::segment::{SegDescriptor, SegmentArena};
 use crate::xcall::{bucket_representative, payload_bucket, XcallTransport};
 
-/// Exponential-backoff retry policy for idempotency-keyed XPUcalls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included).
-    pub max_attempts: u32,
-    /// Sleep before the first retry.
-    pub backoff_base: SimDuration,
-    /// Multiplier applied to the backoff after every failed retry.
-    pub backoff_factor: u32,
-}
+/// How long an XPUcall waits on an unresponsive peer before surfacing
+/// [`ShimError::XcallTimeout`] / [`ShimError::PeerDead`].
+const XCALL_TIMEOUT: SimDuration = SimDuration::from_micros(200);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: SimDuration::from_micros(50),
-            backoff_factor: 2,
-        }
-    }
-}
+/// Total attempts (first try included) of an idempotency-keyed XPUcall
+/// write, and of the executor's keyed command round trips.
+pub const RETRY_MAX_ATTEMPTS: u32 = 3;
+
+/// Sleep before the first retry of a keyed write.
+const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_micros(50);
+
+/// Multiplier applied to the backoff after every failed retry.
+const RETRY_BACKOFF_FACTOR: u64 = 2;
 
 /// How the shim picks an XPUcall transport for each call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,11 +87,6 @@ pub struct ShimConfig {
     pub coalesce_window: SimDuration,
     /// How many deferred UUID reclamations accumulate before a lazy flush.
     pub lazy_batch: usize,
-    /// How long an XPUcall waits on an unresponsive peer before surfacing
-    /// [`ShimError::XcallTimeout`] / [`ShimError::PeerDead`].
-    pub xcall_timeout: SimDuration,
-    /// Backoff policy for [`crate::fifo::XpuFifoWriter::write_with_retry`].
-    pub retry: RetryPolicy,
     /// Dead-PU reclamation sweeps at most this many resources (processes or
     /// UUIDs) per burst before yielding to the engine, so a 10k-sandbox PU
     /// death is an amortized sweep rather than a stop-the-world walk.
@@ -117,8 +105,6 @@ impl Default for ShimConfig {
             zero_copy: true,
             coalesce_window: SimDuration::from_micros(25),
             lazy_batch: 8,
-            xcall_timeout: SimDuration::from_micros(200),
-            retry: RetryPolicy::default(),
             reclaim_batch: 256,
             reclaim_batch_pause: SimDuration::from_nanos(500),
         }
@@ -656,16 +642,15 @@ impl ShimCluster {
         if plane.is_quiet() {
             return Ok(());
         }
-        let timeout = self.inner.config.xcall_timeout;
         if plane.is_dead(host) {
-            ctx.sleep(timeout);
+            ctx.sleep(XCALL_TIMEOUT);
             telemetry::with(|r| r.metrics().counter_add("shim.xcall_peer_dead", 1));
             return Err(ShimError::PeerDead(host));
         }
         if let Some(until) = plane.hang_until(ctx.now(), host) {
             let stall = until - ctx.now();
-            if stall > timeout {
-                ctx.sleep(timeout);
+            if stall > XCALL_TIMEOUT {
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.xcall_timeouts", 1));
                 return Err(ShimError::XcallTimeout(host));
             }
@@ -970,7 +955,7 @@ impl ShimCluster {
             // issued, then the delivery acknowledgement never comes.
             if plane.is_dead(to) {
                 self.charge_xpucall(ctx, from, to, size)?;
-                ctx.sleep(self.inner.config.xcall_timeout);
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.xcall_peer_dead", 1));
                 return Err(ShimError::PeerDead(to));
             }
@@ -980,7 +965,7 @@ impl ShimCluster {
             // like an endpoint-pair partition.
             if self.inner.machine.path_cut(from, to) {
                 self.charge_xpucall(ctx, from, to, size)?;
-                ctx.sleep(self.inner.config.xcall_timeout);
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.xcall_timeouts", 1));
                 return Err(ShimError::XcallTimeout(to));
             }
@@ -1132,18 +1117,17 @@ impl ShimCluster {
         writer: &XpuFifoWriter,
         payload: Bytes,
     ) -> Result<(), ShimError> {
-        let policy = self.inner.config.retry;
-        let mut backoff = policy.backoff_base;
+        let mut backoff = RETRY_BACKOFF_BASE;
         let mut attempt = 0u32;
         loop {
             match self.write_fifo(ctx, writer, payload.clone()) {
                 Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() && attempt + 1 < policy.max_attempts => {
+                Err(e) if e.is_retryable() && attempt + 1 < RETRY_MAX_ATTEMPTS => {
                     attempt += 1;
                     self.inner.state.lock().stats.xcall_retries += 1;
                     telemetry::with(|r| r.metrics().counter_add("shim.xcall_retries", 1));
                     ctx.sleep(backoff);
-                    backoff = backoff * policy.backoff_factor as u64;
+                    backoff = backoff * RETRY_BACKOFF_FACTOR;
                 }
                 Err(e) => return Err(e),
             }
@@ -1279,13 +1263,13 @@ impl ShimCluster {
         if src != to && !plane.is_quiet() {
             if plane.is_dead(to) {
                 self.charge_xpucall(ctx, src, to, size)?;
-                ctx.sleep(self.inner.config.xcall_timeout);
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.xcall_peer_dead", 1));
                 return Err(ShimError::PeerDead(to));
             }
             if self.inner.machine.path_cut(src, to) {
                 self.charge_xpucall(ctx, src, to, size)?;
-                ctx.sleep(self.inner.config.xcall_timeout);
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.xcall_timeouts", 1));
                 return Err(ShimError::XcallTimeout(to));
             }
@@ -1452,7 +1436,7 @@ impl ShimCluster {
     /// Health probe: one small XPUcall from `from` toward `target`'s shim.
     /// Returns the observed round trip, or the discriminated failure
     /// ([`ShimError::PeerDead`] / [`ShimError::XcallTimeout`]) after the
-    /// configured `xcall_timeout` has elapsed.
+    /// [`XCALL_TIMEOUT`] (200 µs) has elapsed.
     ///
     /// # Errors
     ///
@@ -1472,22 +1456,21 @@ impl ShimCluster {
         self.charge_xpucall(ctx, from, target, PROBE_BYTES)?;
         if from != target {
             let plane = self.inner.machine.fault_plane();
-            let timeout = self.inner.config.xcall_timeout;
             if plane.is_dead(target) {
-                ctx.sleep(timeout);
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.probe_failures", 1));
                 return Err(ShimError::PeerDead(target));
             }
             if self.inner.machine.path_cut(from, target) {
-                ctx.sleep(timeout);
+                ctx.sleep(XCALL_TIMEOUT);
                 telemetry::with(|r| r.metrics().counter_add("shim.probe_failures", 1));
                 return Err(ShimError::XcallTimeout(target));
             }
             let rtt = self.inner.machine.route(from, target).transfer_time(PROBE_BYTES) * 2;
             if let Some(until) = plane.hang_until(ctx.now(), target) {
                 let stall = (until - ctx.now()) + rtt;
-                if stall > timeout {
-                    ctx.sleep(timeout);
+                if stall > XCALL_TIMEOUT {
+                    ctx.sleep(XCALL_TIMEOUT);
                     telemetry::with(|r| r.metrics().counter_add("shim.probe_failures", 1));
                     return Err(ShimError::XcallTimeout(target));
                 }

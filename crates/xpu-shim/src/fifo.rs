@@ -210,14 +210,15 @@ impl XpuFifoWriter {
     /// `xfifo_write` with exponential backoff.
     ///
     /// Retryable failures (xcall timeouts from a hung or partitioned peer)
-    /// are retried under the cluster's [`RetryPolicy`]. Delivery stays
+    /// are retried up to [`RETRY_MAX_ATTEMPTS`] times in all, with a 50 µs
+    /// backoff that doubles after each retry. Delivery stays
     /// fire-and-forget: `Ok` means sent, not arrived, and re-sending the
     /// same payload is always allowed — so the protocol is at-least-once.
     /// Callers that need exactly-once embed an idempotency key (from
     /// [`ShimCluster::fresh_idempotency_key`]) in the payload and let the
     /// receiver dedup on it.
     ///
-    /// [`RetryPolicy`]: crate::cluster::RetryPolicy
+    /// [`RETRY_MAX_ATTEMPTS`]: crate::cluster::RETRY_MAX_ATTEMPTS
     /// [`ShimCluster::fresh_idempotency_key`]: crate::cluster::ShimCluster::fresh_idempotency_key
     ///
     /// # Errors

@@ -8,7 +8,7 @@ use hetsim::time::SimDuration;
 use hetsim::topology::Machine;
 use molecule_core::function::FunctionDef;
 use molecule_core::gateway::{ApiGateway, GatewayConfig};
-use molecule_core::health::{HealthChecker, HealthPolicy};
+use molecule_core::health::HealthChecker;
 use molecule_core::keepalive::Lru;
 use molecule_core::runtime::{Molecule, MoleculeConfig};
 use molecule_core::schedule::Scheduler;
@@ -35,7 +35,7 @@ fn queued_requests_survive_a_pu_death_mid_burst() {
         Box::new(Lru::new()),
     );
     let gw = SchedGateway::new(api, SchedConfig { dpu_tokens: 1, ..SchedConfig::default() });
-    let health = HealthChecker::new(gw.api().clone(), HealthPolicy::default());
+    let health = HealthChecker::new(gw.api().clone());
     gw.attach_health(&health);
 
     let mut sim = Simulation::new();
@@ -129,13 +129,9 @@ fn in_flight_cold_start_batch_survives_fpga_death_mid_window() {
     // holds the fabric coalescing the requests queued behind it.
     let gw = SchedGateway::new(
         api,
-        SchedConfig {
-            batch_window: SimDuration::from_millis(50),
-            batch_max: 8,
-            ..SchedConfig::default()
-        },
+        SchedConfig { batch_window: SimDuration::from_millis(50), ..SchedConfig::default() },
     );
-    let health = HealthChecker::new(gw.api().clone(), HealthPolicy::default());
+    let health = HealthChecker::new(gw.api().clone());
     gw.attach_health(&health);
 
     let mut sim = Simulation::new();
