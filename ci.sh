@@ -17,6 +17,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 cargo clippy --locked --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
+# Example stage: every example runs once, so the assertions inside them
+# gate CI. alexa_smart_home is the one path that turns telemetry recording
+# on; it writes alexa_trace.json (git-ignored) to the repo root.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)"
+done
+
 # Bench JSON summaries land at the repo root so plotting scripts and the
 # gates below read the same committed artifacts.
 export MOLECULE_BENCH_DIR="$PWD"

@@ -179,7 +179,7 @@ pub fn run_scenario(scenario: Scenario) -> BTreeMap<u32, TenantPoint> {
             let t = arrivals[i].1;
             let tenant =
                 if scenario == Scenario::NoTenancy { TenantId::SYSTEM } else { TenantId(t) };
-            let opts = SubmitOpts { tenant, ..SubmitOpts::default() };
+            let opts = SubmitOpts { tenant };
             *issued.entry(t).or_default() += 1;
             if let Ok(rx) = gw.submit(ctx, &funcs[&t], 2048, opts) {
                 rxs.push((t, rx));

@@ -18,6 +18,7 @@ use parking_lot::Mutex;
 use vsandbox::spec::{FuncId, LangRuntime};
 
 use crate::error::MoleculeError;
+use crate::function::FunctionDef;
 use crate::keepalive::KeepAlivePolicy;
 use crate::regions::RegionDirectory;
 use crate::runtime::{InstanceId, Molecule, StartupKind};
@@ -362,60 +363,34 @@ impl ApiGateway {
         }
     }
 
+    /// Picks the PU for one request and serves it there: the first warm
+    /// pool in profile order (never on a quarantined PU), or else a
+    /// placement on a surviving PU, where the serve body scales up.
     fn try_serve(
         &self,
         ctx: &mut ProcCtx,
         func: &FuncId,
         input_bytes: u64,
     ) -> Result<RequestReport, MoleculeError> {
-        let t0 = ctx.now();
-        let def = self
-            .molecule
-            .registry()
-            .get(func)
-            .ok_or_else(|| MoleculeError::UnknownFunction(func.clone()))?;
-
-        // 1. Warm pool first (never on a quarantined PU).
+        let def = self.function(func)?;
         let warm = {
-            let mut st = self.state.lock();
-            let mut found = None;
-            for kind in &def.profiles {
-                for pu in self.molecule.machine().pus_of_kind(*kind) {
-                    if st.avoid.contains(&pu) {
-                        continue;
-                    }
-                    if let Some(pool) = st.idle.get_mut(&(func.clone(), pu)) {
-                        if let Some(inst) = pool.pop() {
-                            found = Some((inst, pu));
-                            break;
-                        }
-                    }
-                }
-                if found.is_some() {
-                    break;
-                }
-            }
-            found
+            let st = self.state.lock();
+            let machine = self.molecule.machine();
+            def.profiles.iter().flat_map(|kind| machine.pus_of_kind(*kind)).find(|pu| {
+                !st.avoid.contains(pu)
+                    && st.idle.get(&(func.clone(), *pu)).is_some_and(|pool| !pool.is_empty())
+            })
         };
-
-        let (instance, pu, cold) = match warm {
-            Some((instance, pu)) => (instance, pu, false),
+        let pu = match warm {
+            Some(pu) => pu,
             None => {
-                // 2. Miss: place on a surviving PU and scale up.
                 let avoid: Vec<PuId> = self.avoided_pus();
                 let pu = self.scheduler.place(self.molecule.machine(), &def, &avoid)?;
                 self.note_degradation(ctx, &def, pu, &avoid);
-                let how = self.effective_startup();
-                let started = self.molecule.start_instance(ctx, func, pu, how)?;
-                let mut st = self.state.lock();
-                st.own(started.instance, func, pu);
-                (started.instance, pu, true)
+                pu
             }
         };
-
-        let report = self.molecule.invoke(ctx, instance, input_bytes)?;
-        self.return_to_pool(ctx, &def, pu, instance, cold, report.latency)?;
-        Ok(RequestReport { latency: ctx.now() - t0, cold_start: cold, pu, instance })
+        self.serve_on(ctx, &def, pu, input_bytes)
     }
 
     /// Serves one request pinned to `pu`: warm pool on `(func, pu)` first,
@@ -436,12 +411,33 @@ impl ApiGateway {
         pu: PuId,
         input_bytes: u64,
     ) -> Result<RequestReport, MoleculeError> {
-        let t0 = ctx.now();
-        let def = self
-            .molecule
+        let def = self.function(func)?;
+        let report = self.serve_on(ctx, &def, pu, input_bytes)?;
+        let kind = if report.cold_start { "cold" } else { "warm" };
+        telemetry::with(|r| r.metrics().counter_add(&format!("gateway.requests.{kind}"), 1));
+        Ok(report)
+    }
+
+    /// The registered definition of `func`.
+    fn function(&self, func: &FuncId) -> Result<FunctionDef, MoleculeError> {
+        self.molecule
             .registry()
             .get(func)
-            .ok_or_else(|| MoleculeError::UnknownFunction(func.clone()))?;
+            .ok_or_else(|| MoleculeError::UnknownFunction(func.clone()))
+    }
+
+    /// The serve body both entry points share: pops a warm instance of the
+    /// function on `pu` or cold-starts one there, invokes it, and returns it
+    /// to the pool.
+    fn serve_on(
+        &self,
+        ctx: &mut ProcCtx,
+        def: &FunctionDef,
+        pu: PuId,
+        input_bytes: u64,
+    ) -> Result<RequestReport, MoleculeError> {
+        let t0 = ctx.now();
+        let func = &def.id;
         let warm = {
             let mut st = self.state.lock();
             if st.avoid.contains(&pu) {
@@ -459,9 +455,7 @@ impl ApiGateway {
             }
         };
         let report = self.molecule.invoke(ctx, instance, input_bytes)?;
-        self.return_to_pool(ctx, &def, pu, instance, cold, report.latency)?;
-        let kind = if cold { "cold" } else { "warm" };
-        telemetry::with(|r| r.metrics().counter_add(&format!("gateway.requests.{kind}"), 1));
+        self.return_to_pool(ctx, def, pu, instance, cold, report.latency)?;
         Ok(RequestReport { latency: ctx.now() - t0, cold_start: cold, pu, instance })
     }
 
@@ -470,7 +464,7 @@ impl ApiGateway {
     fn return_to_pool(
         &self,
         ctx: &mut ProcCtx,
-        def: &crate::function::FunctionDef,
+        def: &FunctionDef,
         pu: PuId,
         instance: InstanceId,
         cold: bool,
@@ -501,67 +495,6 @@ impl ApiGateway {
         self.state.lock().idle.get(&(func.clone(), pu)).map_or(0, Vec::len)
     }
 
-    /// Cold-starts one instance of `func` on `pu` and parks it in the idle
-    /// pool without serving a request — the autoscaler's grow primitive.
-    /// The per-request pool bound does not apply here; the caller owns the
-    /// target size.
-    ///
-    /// # Errors
-    ///
-    /// [`MoleculeError::PuUnavailable`] when `pu` is quarantined, plus any
-    /// startup failure from the runtime.
-    pub fn prewarm(
-        &self,
-        ctx: &mut ProcCtx,
-        func: &FuncId,
-        pu: PuId,
-    ) -> Result<InstanceId, MoleculeError> {
-        if self.state.lock().avoid.contains(&pu) {
-            return Err(MoleculeError::PuUnavailable(pu));
-        }
-        let how = self.effective_startup();
-        let started = self.molecule.start_instance(ctx, func, pu, how)?;
-        let mut st = self.state.lock();
-        st.own(started.instance, func, pu);
-        st.pool_entry(func, pu).push(started.instance);
-        telemetry::with(|r| r.metrics().counter_add("gateway.prewarmed", 1));
-        Ok(started.instance)
-    }
-
-    /// Retires idle instances of `func` on `pu` until at most `keep` remain
-    /// pooled — the autoscaler's shrink primitive. Oldest instances go
-    /// first. Returns the number retired.
-    ///
-    /// # Errors
-    ///
-    /// Teardown failures from the runtime.
-    pub fn retire_idle_on(
-        &self,
-        ctx: &mut ProcCtx,
-        func: &FuncId,
-        pu: PuId,
-        keep: usize,
-    ) -> Result<usize, MoleculeError> {
-        let to_retire: Vec<InstanceId> = {
-            let mut st = self.state.lock();
-            let Some(pool) = st.idle.get_mut(&(func.clone(), pu)) else { return Ok(0) };
-            let excess = pool.len().saturating_sub(keep);
-            let drained: Vec<InstanceId> = pool.drain(..excess).collect();
-            if pool.is_empty() {
-                st.drop_pool(func, pu);
-            }
-            for inst in &drained {
-                st.disown(*inst);
-            }
-            st.stats.reaped += drained.len() as u64;
-            drained
-        };
-        for inst in &to_retire {
-            self.molecule.retire_instance(ctx, *inst)?;
-        }
-        Ok(to_retire.len())
-    }
-
     /// Tells the keep-alive policy a request for `func` was shed by an
     /// admission controller: shed load is still demand, so policies should
     /// not let the function's keep-alive window lapse just because the
@@ -574,13 +507,7 @@ impl ApiGateway {
     /// differs from the function's preferred profile because every PU of the
     /// preferred kind is quarantined — e.g. a DPU/FPGA function now billed
     /// on the CPU cost table.
-    fn note_degradation(
-        &self,
-        ctx: &mut ProcCtx,
-        def: &crate::function::FunctionDef,
-        placed: PuId,
-        avoid: &[PuId],
-    ) {
+    fn note_degradation(&self, ctx: &mut ProcCtx, def: &FunctionDef, placed: PuId, avoid: &[PuId]) {
         let Some(preferred) = def.profiles.first().copied() else { return };
         let machine = self.molecule.machine();
         let Some(spec) = machine.pu(placed) else { return };
@@ -688,7 +615,6 @@ impl ApiGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::FunctionDef;
     use crate::keepalive::{FixedWindow, Lru};
     use crate::runtime::MoleculeConfig;
     use hetsim::engine::Simulation;
@@ -808,6 +734,43 @@ mod tests {
         assert_eq!(reaped, 1);
         assert_eq!(after, 0);
         assert_eq!(gw.stats().reaped, 1);
+    }
+
+    #[test]
+    fn handle_request_prefers_a_warm_pool_over_the_first_placement() {
+        // DPU first: a cold placement would pick the first DPU, but the
+        // only warm instance idles on the second.
+        let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
+        molecule.register_function(
+            FunctionDef::builder("edge", LangRuntime::Python)
+                .profiles(&[PuKind::Dpu, PuKind::Cpu])
+                .exec_ms(1.0)
+                .build(),
+        );
+        let gw = ApiGateway::new(
+            molecule,
+            Scheduler::default(),
+            GatewayConfig::default(),
+            Box::new(Lru::new()),
+        );
+        let mut sim = Simulation::new();
+        let g = gw.clone();
+        let out = sim.spawn("gw", move |ctx| {
+            g.molecule().bootstrap(ctx).unwrap();
+            g.prepare_all_templates(ctx).unwrap();
+            let dpus = g.molecule().machine().pus_of_kind(PuKind::Dpu);
+            let seeded = g.handle_request_on(ctx, &"edge".into(), dpus[1], 64).unwrap();
+            let served = g.handle_request(ctx, &"edge".into(), 64).unwrap();
+            (dpus, seeded, served)
+        });
+        sim.run().unwrap();
+        let (dpus, seeded, served) = out.take_result().unwrap();
+        assert_eq!(dpus.len(), 2);
+        assert!(seeded.cold_start);
+        assert_eq!(served.pu, dpus[1], "the warm pool beats placement on {}", dpus[0]);
+        assert!(!served.cold_start);
+        assert_eq!(served.instance, seeded.instance);
+        assert_eq!(gw.stats().cold_starts, 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! needs the *location* facts — "region `weights` has replicas on PU 0 and
 //! PU 2" — to feed the scheduler's state-locality term (a function that
 //! declares [`FunctionDef::regions`] scores better on PUs already holding
-//! those pages, the same way chain stages earn the co-location bonus). The
+//! those pages). The
 //! directory is deliberately a plain name→PU-set map so `molecule-core`
 //! does not depend on the state crate: `molecule-sched` bridges the two by
 //! installing a `StateLayer` host observer that publishes into it.

@@ -193,11 +193,6 @@ impl<T: Send + 'static> SimSender<T> {
         );
         Ok(())
     }
-
-    /// True if the receiving half is still alive.
-    pub fn is_connected(&self) -> bool {
-        self.chan.lock().receiver_alive
-    }
 }
 
 impl<T> Clone for SimSender<T> {

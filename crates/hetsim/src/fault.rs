@@ -381,11 +381,6 @@ impl FaultPlane {
     pub fn event_log(&self) -> Vec<String> {
         self.inner.state.lock().log.clone()
     }
-
-    /// Number of logged events.
-    pub fn event_count(&self) -> usize {
-        self.inner.state.lock().log.len()
-    }
 }
 
 #[cfg(test)]

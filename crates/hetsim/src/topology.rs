@@ -210,7 +210,7 @@ impl Default for MachineBuilder {
 }
 
 /// Builder for a rack: several identically shaped nodes (each a host CPU
-/// plus devices) joined by a full-mesh RDMA fabric between the node hosts.
+/// plus BlueField-1 DPUs) joined by a full-mesh RDMA fabric between the node hosts.
 ///
 /// The result is still one [`Machine`] — PUs are globally numbered and the
 /// whole stack (shim, gateways, state layer) runs over it unchanged — but
@@ -233,9 +233,6 @@ pub struct RackBuilder {
     calib: Calibration,
     nodes: usize,
     bf1_dpus: usize,
-    bf2_dpus: usize,
-    fpgas: usize,
-    gpus: usize,
     fabric_overrides: HashMap<(NodeId, NodeId), Link>,
 }
 
@@ -251,9 +248,6 @@ impl RackBuilder {
             calib: Calibration::paper_server(),
             nodes,
             bf1_dpus: 0,
-            bf2_dpus: 0,
-            fpgas: 0,
-            gpus: 0,
             fabric_overrides: HashMap::new(),
         }
     }
@@ -270,24 +264,6 @@ impl RackBuilder {
         self
     }
 
-    /// Adds `n` BlueField-2 DPUs to every node.
-    pub fn bluefield2_dpus_per_node(mut self, n: usize) -> RackBuilder {
-        self.bf2_dpus = n;
-        self
-    }
-
-    /// Adds `n` FPGAs to every node.
-    pub fn fpgas_per_node(mut self, n: usize) -> RackBuilder {
-        self.fpgas = n;
-        self
-    }
-
-    /// Adds `n` GPUs to every node.
-    pub fn gpus_per_node(mut self, n: usize) -> RackBuilder {
-        self.gpus = n;
-        self
-    }
-
     /// Overrides the fabric link between two nodes (both directions) —
     /// per-link calibration for asymmetric racks (e.g. a cross-switch pair
     /// slower than in-chassis neighbours).
@@ -298,17 +274,14 @@ impl RackBuilder {
     }
 
     /// Boots the rack: per node, one host CPU with its local OS, the node's
-    /// devices with host↔device links; across nodes, a full mesh of fabric
+    /// DPUs with host↔DPU links; across nodes, a full mesh of fabric
     /// links between the hosts. All nodes share one fault plane.
     pub fn build(self) -> Machine {
         let mut pus = Vec::new();
         let mut node_of = Vec::new();
         let mut node_hosts = Vec::new();
         let mut oses = HashMap::new();
-        let mut fpgas = HashMap::new();
-        let mut gpus = HashMap::new();
         let mut links = HashMap::new();
-        let faults = FaultPlane::new();
         for node in 0..self.nodes {
             let node = NodeId(node as u16);
             let host = PuId(pus.len() as u16);
@@ -324,36 +297,13 @@ impl RackBuilder {
             );
             pus.push(spec);
             node_of.push(node);
-            let device = |n: usize, make: fn(PuId) -> PuSpec| (0..n).map(move |_| make);
-            for make in device(self.bf1_dpus, PuSpec::bluefield1)
-                .chain(device(self.bf2_dpus, PuSpec::bluefield2))
-            {
+            for _ in 0..self.bf1_dpus {
                 let id = PuId(pus.len() as u16);
-                let spec = make(id);
+                let spec = PuSpec::bluefield1(id);
                 let costs = self.calib.os_costs(spec.model);
                 oses.insert(id, LocalOs::boot(&spec, costs, self.calib.density.dpu_usable_mib));
                 links.insert((host, id), Link::pcie_rdma());
                 links.insert((id, host), Link::pcie_rdma());
-                pus.push(spec);
-                node_of.push(node);
-            }
-            for make in device(self.fpgas, PuSpec::ultrascale_fpga)
-                .chain(device(self.gpus, PuSpec::generic_gpu))
-            {
-                let id = PuId(pus.len() as u16);
-                let spec = make(id);
-                match spec.kind {
-                    PuKind::Fpga => {
-                        let dev = FpgaDevice::new(id, self.calib.fpga);
-                        dev.attach_fault_plane(faults.clone());
-                        fpgas.insert(id, dev);
-                    }
-                    _ => {
-                        gpus.insert(id, GpuDevice::new(id, GpuCosts::default()));
-                    }
-                }
-                links.insert((host, id), Link::pcie_dma());
-                links.insert((id, host), Link::pcie_dma());
                 pus.push(spec);
                 node_of.push(node);
             }
@@ -376,11 +326,11 @@ impl RackBuilder {
             node_of,
             node_hosts,
             oses,
-            fpgas,
-            gpus,
+            fpgas: HashMap::new(),
+            gpus: HashMap::new(),
             links,
             forward_cost: SimDuration::from_micros(10),
-            faults,
+            faults: FaultPlane::new(),
         }
     }
 }

@@ -170,9 +170,9 @@ fn node_death_sweeps_every_surviving_gateways_indexes() {
             assert!(hosts.contains(&PuId(3)), "directory missing the master replica");
             assert!(hosts.contains(&PuId(1)), "directory missing the node-0 replica");
         }
-        // Warm an instance of the remote function on node 1 so its pool
-        // has something to purge.
-        f.gateway(NodeId(1)).api().prewarm(ctx, &remote, PuId(3)).expect("prewarm");
+        // Serve the remote function once on node 1's DPU so its pool has
+        // a warm instance to purge.
+        f.gateway(NodeId(1)).api().handle_request_on(ctx, &remote, PuId(3), 1024).expect("warm");
         assert_eq!(f.gateway(NodeId(1)).api().warm_idle_count(&remote, PuId(3)), 1);
 
         // Node 1 dies; the sweep must reach every surviving gateway.

@@ -18,14 +18,16 @@
 //!    [`SchedGateway::attach_health`]), its queue drains and every entry is
 //!    re-placed on a surviving PU via [`RunQueue::force`], so admitted work
 //!    is never silently lost.
-//! 4. **Autoscaling** — a periodic tick sizes each function's warm pools
-//!    from its [`RateEstimator`] by Little's law, prewarming ahead of
-//!    demand and retiring idle instances when the rate decays.
+//!
+//! Warm pools grow by cold-starting on a miss and shrink through the
+//! [`ApiGateway`]'s keep-alive policy; the gateway sizes no pool ahead of
+//! demand.
 //!
 //! Every admitted request resolves to exactly one [`JobOutcome`] on the
-//! reply channel returned by `submit`: `Completed`, `Shed` (deadline passed
-//! while queued) or `Failed`. This conservation invariant is what the
-//! property tests and the chaos suite lean on.
+//! reply channel returned by `submit`: `Completed`, `Shed` (its SLO budget
+//! passed while queued, or a fairness eviction) or `Failed`. This
+//! conservation invariant is what the property tests and the chaos suite
+//! lean on.
 //!
 //! [`ApiGateway::handle_request_on`]: molecule_core::gateway::ApiGateway::handle_request_on
 
@@ -33,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use hetsim::engine::{ProcCtx, RecvTimeoutError, SimReceiver, SimSender};
+use hetsim::engine::{ProcCtx, SimReceiver, SimSender};
 use hetsim::pu::{PuId, PuKind};
 use hetsim::time::{SimDuration, SimTime};
 use molecule_core::error::MoleculeError;
@@ -46,9 +48,8 @@ use molecule_tenancy::{TenantId, TenantRegistry, TokenBucket};
 use parking_lot::Mutex;
 use vsandbox::spec::FuncId;
 
-use crate::autoscale::{AutoscaleConfig, RateEstimator};
 use crate::placer::{self, Candidate, PuLoad};
-use crate::queue::{Overloaded, Priority, QueuePolicy, Queued, RunQueue, ShedReason};
+use crate::queue::{Overloaded, QueuePolicy, Queued, RunQueue, ShedReason};
 
 /// How the gateway picks a PU for an admitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +57,8 @@ pub enum PlacementMode {
     /// First PU (in machine order) that supports the function and has
     /// capacity — the seed gateway's policy, kept as the bench baseline.
     FirstFit,
-    /// Calibrated cost-model scoring: exec + cold + live queue wait, with a
-    /// chain co-location bonus.
+    /// Calibrated cost-model scoring: exec + cold + live queue wait, with
+    /// state-locality bonuses.
     LoadAware,
 }
 
@@ -75,8 +76,6 @@ pub struct SchedConfig {
     /// How long an FPGA miss holds the fabric to coalesce co-pending cold
     /// starts into one flash. [`SimDuration::ZERO`] disables batching.
     pub batch_window: SimDuration,
-    /// Warm-pool autoscaler; `None` leaves pools to the keep-alive policy.
-    pub autoscale: Option<AutoscaleConfig>,
     /// The shared tenant table: WFQ weights and admission rate limits.
     /// Unconfigured tenants get weight 1 and no limit, so a deployment
     /// that never registers a tenant behaves exactly like the pre-tenancy
@@ -92,7 +91,6 @@ impl Default for SchedConfig {
             cpu_tokens: 4,
             dpu_tokens: 2,
             batch_window: SimDuration::from_millis(5),
-            autoscale: None,
             tenants: Arc::new(TenantRegistry::new()),
         }
     }
@@ -100,14 +98,13 @@ impl Default for SchedConfig {
 
 impl SchedConfig {
     /// The bench baseline: first-fit placement, an effectively unbounded
-    /// queue, no batching, no autoscaler. Token counts match the default so
-    /// comparisons isolate the policy.
+    /// queue, no batching. Token counts match the default so comparisons
+    /// isolate the policy.
     pub fn baseline_first_fit() -> SchedConfig {
         SchedConfig {
             mode: PlacementMode::FirstFit,
             depth: 1 << 20,
             batch_window: SimDuration::ZERO,
-            autoscale: None,
             ..SchedConfig::default()
         }
     }
@@ -121,17 +118,12 @@ impl SchedConfig {
     }
 }
 
-/// Per-request knobs for [`SchedGateway::submit`].
+/// Per-request options for [`SchedGateway::submit`]. The latency budget
+/// is not one of them: it is the function's declared
+/// [`SloClass::Latency`](molecule_tenancy::SloClass::Latency) target, and
+/// a function without one has no budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOpts {
-    /// Priority lane (lower serves first).
-    pub priority: Priority,
-    /// Latency budget override; falls back to the function's declared
-    /// [`SloClass::Latency`](molecule_tenancy::SloClass::Latency) target;
-    /// with neither, admission checks no budget.
-    pub deadline: Option<SimDuration>,
-    /// PU the previous chain stage ran on, for the co-location bonus.
-    pub prev_stage: Option<PuId>,
     /// The submitting tenant. Defaults to [`TenantId::SYSTEM`], which is
     /// never rate-limited by default and shares the queue like any other
     /// weight-1 tenant.
@@ -237,17 +229,11 @@ struct Job {
 struct Shared {
     queues: BTreeMap<PuId, RunQueue<Job>>,
     wakes: BTreeMap<PuId, Vec<SimSender<()>>>,
-    autoscale_stop: Option<SimSender<()>>,
-    estimators: BTreeMap<FuncId, RateEstimator>,
-    service_ewma_ns: BTreeMap<FuncId, f64>,
     dead: BTreeSet<PuId>,
     stats: SchedStats,
     buckets: BTreeMap<TenantId, TokenBucket>,
     ledger: BTreeMap<TenantId, TenantLedger>,
 }
-
-/// EWMA smoothing factor for per-function service-time estimates.
-const SERVICE_EWMA_ALPHA: f64 = 0.2;
 
 /// Concurrency tokens on each accelerator (FPGA fabric, GPU).
 const ACCEL_TOKENS: usize = 1;
@@ -313,9 +299,6 @@ impl SchedGateway {
             shared: Arc::new(Mutex::new(Shared {
                 queues,
                 wakes: BTreeMap::new(),
-                autoscale_stop: None,
-                estimators: BTreeMap::new(),
-                service_ewma_ns: BTreeMap::new(),
                 dead: BTreeSet::new(),
                 stats: SchedStats::default(),
                 buckets: BTreeMap::new(),
@@ -345,11 +328,10 @@ impl SchedGateway {
         self.caches.get(&pu)
     }
 
-    /// Spawns the per-PU worker pools (one process per queue token) and,
-    /// when configured, the autoscaler. Call once after
-    /// [`Molecule::bootstrap`]; call [`shutdown`](Self::shutdown) before the
-    /// simulation ends or the engine reports the blocked workers as a
-    /// deadlock.
+    /// Spawns the per-PU worker pools (one process per queue token). Call
+    /// once after [`Molecule::bootstrap`]; call [`shutdown`](Self::shutdown)
+    /// before the simulation ends or the engine reports the blocked workers
+    /// as a deadlock.
     ///
     /// [`Molecule::bootstrap`]: molecule_core::runtime::Molecule::bootstrap
     pub fn start(&self, ctx: &mut ProcCtx) {
@@ -367,17 +349,12 @@ impl SchedGateway {
                 });
             }
         }
-        if self.config.autoscale.is_some() {
-            self.start_autoscaler(ctx);
-        }
     }
 
-    /// Drops every worker wake sender and the autoscaler's stop channel so
-    /// all gateway processes exit once idle. Idempotent.
+    /// Drops every worker wake sender so all gateway processes exit once
+    /// idle. Idempotent.
     pub fn shutdown(&self) {
-        let mut sh = self.shared.lock();
-        sh.wakes.clear();
-        sh.autoscale_stop = None;
+        self.shared.lock().wakes.clear();
     }
 
     /// Registers the failover drain with `health`: when the checker
@@ -434,8 +411,6 @@ impl SchedGateway {
             let mut sh = self.shared.lock();
             sh.stats.submitted += 1;
             sh.ledger.entry(tenant).or_default().submitted += 1;
-            let tau = self.config.autoscale.map_or(SimDuration::from_millis(200), |a| a.tau);
-            sh.estimators.entry(func.clone()).or_insert_with(|| RateEstimator::new(tau)).note(now);
             // Rate limiting happens here, before any queue or placer state
             // is touched: a flooding tenant is charged its deny without
             // perturbing anyone else's estimates.
@@ -454,7 +429,7 @@ impl SchedGateway {
             }
         }
 
-        let candidates = self.candidate_pus(&def, input_bytes, opts.prev_stage);
+        let candidates = self.candidate_pus(&def, input_bytes);
         if candidates.is_empty() {
             let mut sh = self.shared.lock();
             sh.stats.rejected += 1;
@@ -462,12 +437,10 @@ impl SchedGateway {
             return Err(SubmitError::Runtime(MoleculeError::NoCapacity(func.clone())));
         }
 
-        // The declared SLO supplies the default deadline: an explicit
-        // per-submit budget still wins, batch functions get none.
-        let slo = def.slo;
-        let batch = slo.is_some_and(|s| s.is_batch());
-        let slo_target = slo.and_then(|s| s.latency_target());
-        let budget = opts.deadline.or(slo_target);
+        // The declared SLO is the latency budget; batch functions and
+        // functions without an SLO get none.
+        let batch = def.slo.is_some_and(|s| s.is_batch());
+        let budget = def.slo.and_then(|s| s.latency_target());
         let deadline_at = budget.map(|b| now + b);
         let weight = self.config.tenants.weight(tenant);
         let (tx, rx) = ctx.channel::<JobOutcome>();
@@ -490,8 +463,7 @@ impl SchedGateway {
                 let mut sh = self.shared.lock();
                 let queue = sh.queues.get_mut(&cand.pu).expect("candidate PU has a queue");
                 let mut evicted = None;
-                let first =
-                    queue.offer_for(now, tenant, weight, batch, opts.priority, deadline_at, job);
+                let first = queue.offer_for(now, tenant, weight, batch, deadline_at, job);
                 // Batch-first shedding: a latency-class admission bouncing
                 // off a full queue may evict the youngest batch entry and
                 // take its slot. Batch submits never evict anyone.
@@ -500,15 +472,7 @@ impl SchedGateway {
                         match queue.evict_batch(now) {
                             Some(victim) => {
                                 evicted = Some(victim);
-                                queue.offer_for(
-                                    now,
-                                    tenant,
-                                    weight,
-                                    batch,
-                                    opts.priority,
-                                    deadline_at,
-                                    payload,
-                                )
+                                queue.offer_for(now, tenant, weight, batch, deadline_at, payload)
                             }
                             None => Err((err, payload)),
                         }
@@ -580,7 +544,6 @@ impl SchedGateway {
         &self,
         def: &molecule_core::function::FunctionDef,
         input_bytes: u64,
-        prev_stage: Option<PuId>,
     ) -> Vec<Candidate> {
         let machine = self.api.molecule().machine();
         let avoided: BTreeSet<PuId> = self.api.avoided_pus().into_iter().collect();
@@ -609,7 +572,7 @@ impl SchedGateway {
                 } else {
                     self.api.region_directory().hosts_of_any(&def.regions)
                 };
-                placer::rank(machine, def, input_bytes, prev_stage, &loads, &state_hosts)
+                placer::rank(machine, def, input_bytes, &loads, &state_hosts)
             }
             PlacementMode::FirstFit => {
                 // Same feasibility filter, but machine order instead of the
@@ -618,7 +581,7 @@ impl SchedGateway {
                 // still carrying the estimates admission control needs.
                 let blind: Vec<PuLoad> =
                     loads.iter().map(|l| PuLoad { wait: SimDuration::ZERO, ..*l }).collect();
-                let mut cands = placer::rank(machine, def, input_bytes, None, &blind, &[]);
+                let mut cands = placer::rank(machine, def, input_bytes, &blind, &[]);
                 cands.sort_by_key(|c| c.pu);
                 cands
             }
@@ -745,8 +708,8 @@ impl SchedGateway {
         }
     }
 
-    /// Books one finished request: releases the token, folds the service
-    /// EWMA and replies `Completed`.
+    /// Books one finished request: releases the token and replies
+    /// `Completed`.
     fn complete(
         &self,
         ctx: &mut ProcCtx,
@@ -763,13 +726,6 @@ impl SchedGateway {
             }
             sh.stats.completed += 1;
             sh.ledger.entry(job.tenant).or_default().completed += 1;
-            let ewma = sh.service_ewma_ns.entry(job.payload.func.clone()).or_insert(0.0);
-            let obs = service.as_nanos() as f64;
-            *ewma = if *ewma == 0.0 {
-                obs
-            } else {
-                SERVICE_EWMA_ALPHA * obs + (1.0 - SERVICE_EWMA_ALPHA) * *ewma
-            };
         }
         telemetry::observe_ns("sched.service", service.as_nanos());
         let latency = ctx.now().saturating_duration_since(job.payload.submitted_at);
@@ -829,7 +785,7 @@ impl SchedGateway {
                 continue;
             };
             let target = self
-                .candidate_pus(&def, job.payload.input, None)
+                .candidate_pus(&def, job.payload.input)
                 .into_iter()
                 .map(|c| c.pu)
                 .find(|pu| *pu != bad);
@@ -844,7 +800,6 @@ impl SchedGateway {
                             job.tenant,
                             weight,
                             job.batch,
-                            job.priority,
                             job.deadline,
                             job.payload,
                         );
@@ -866,84 +821,6 @@ impl SchedGateway {
             self.publish_depth(pu);
             self.wake_pu(pu);
         }
-    }
-
-    // ----- autoscaling -----------------------------------------------------
-
-    /// Spawns the periodic autoscale process. Called by
-    /// [`start`](Self::start) when [`SchedConfig::autoscale`] is set.
-    fn start_autoscaler(&self, ctx: &mut ProcCtx) {
-        let Some(cfg) = self.config.autoscale else { return };
-        let (tx, rx) = ctx.channel::<()>();
-        self.shared.lock().autoscale_stop = Some(tx);
-        let this = self.clone();
-        ctx.spawn("sched-autoscaler", move |actx| loop {
-            match rx.recv_timeout(actx, cfg.interval) {
-                Err(RecvTimeoutError::Timeout) => {
-                    this.autoscale_tick(actx);
-                }
-                _ => return,
-            }
-        });
-    }
-
-    /// One autoscale pass: for every observed function, size the warm pools
-    /// to the Little's-law target and reconcile with
-    /// [`ApiGateway::prewarm`] / [`ApiGateway::retire_idle_on`]. Returns
-    /// `(prewarmed, retired)`.
-    ///
-    /// [`ApiGateway::prewarm`]: molecule_core::gateway::ApiGateway::prewarm
-    /// [`ApiGateway::retire_idle_on`]: molecule_core::gateway::ApiGateway::retire_idle_on
-    pub fn autoscale_tick(&self, ctx: &mut ProcCtx) -> (usize, usize) {
-        let Some(cfg) = self.config.autoscale else { return (0, 0) };
-        let now = ctx.now();
-        let snapshot: Vec<(FuncId, f64, Option<f64>)> = {
-            let sh = self.shared.lock();
-            sh.estimators
-                .iter()
-                .map(|(f, est)| (f.clone(), est.rate_hz(now), sh.service_ewma_ns.get(f).copied()))
-                .collect()
-        };
-        let registry = self.api.molecule().registry().clone();
-        let machine = self.api.molecule().machine().clone();
-        let (mut grown, mut shrunk) = (0, 0);
-        for (func, rate, ewma_ns) in snapshot {
-            let Some(def) = registry.get(&func) else { continue };
-            let service = ewma_ns
-                .map(|ns| SimDuration::from_nanos(ns as u64))
-                .or_else(|| placer::exec_estimate(&machine, &def, machine.host_cpu(), 1024))
-                .unwrap_or_else(|| SimDuration::from_millis(10));
-            let target = cfg.target(rate, service);
-            let pools: Vec<PuId> = self
-                .candidate_pus(&def, 1024, None)
-                .into_iter()
-                .map(|c| c.pu)
-                .filter(|pu| machine.pu(*pu).is_some_and(|s| s.kind.is_general_purpose()))
-                .collect();
-            let mut remaining = target;
-            for pu in pools {
-                let want = remaining.min(cfg.max_warm_per_pu);
-                remaining -= want;
-                let have = self.api.warm_idle_count(&func, pu);
-                if have < want {
-                    for _ in have..want {
-                        if self.api.prewarm(ctx, &func, pu).is_err() {
-                            break;
-                        }
-                        grown += 1;
-                    }
-                } else if have > want {
-                    match self.api.retire_idle_on(ctx, &func, pu, want) {
-                        Ok(n) => shrunk += n,
-                        Err(_) => continue,
-                    }
-                }
-            }
-            if telemetry::enabled() {
-                telemetry::gauge_set(&format!("sched.pool.{func}"), target as i64);
-            }
-        }
-        (grown, shrunk)
     }
 
     // ----- plumbing --------------------------------------------------------
@@ -977,22 +854,25 @@ mod tests {
     use super::*;
     use hetsim::engine::Simulation;
     use hetsim::topology::Machine;
-    use molecule_core::function::FunctionDef;
+    use molecule_core::function::{FunctionBuilder, FunctionDef};
     use molecule_core::gateway::GatewayConfig;
     use molecule_core::runtime::{Molecule, MoleculeConfig};
     use molecule_core::schedule::Scheduler;
     use vsandbox::spec::LangRuntime;
 
-    fn api_over(machine: Machine) -> ApiGateway {
-        let molecule = Molecule::launch(machine, MoleculeConfig::default());
-        molecule.register_function(
-            FunctionDef::builder("img", LangRuntime::Python)
-                .profiles(&[PuKind::Cpu, PuKind::Dpu])
-                .exec_ms(10.0)
-                .init_ms(6.0)
-                .cfork_first_run_ms(1.0)
-                .build(),
-        );
+    /// The `img` function most tests serve: CPU first, DPUs as spillover.
+    fn img() -> FunctionBuilder {
+        FunctionDef::builder("img", LangRuntime::Python)
+            .profiles(&[PuKind::Cpu, PuKind::Dpu])
+            .exec_ms(10.0)
+            .init_ms(6.0)
+            .cfork_first_run_ms(1.0)
+    }
+
+    /// A gateway over the paper's CPU+DPU server with `def` registered.
+    fn api_with(def: FunctionDef) -> ApiGateway {
+        let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
+        molecule.register_function(def);
         ApiGateway::new(
             molecule,
             Scheduler::default(),
@@ -1021,8 +901,7 @@ mod tests {
 
     #[test]
     fn submitted_requests_complete_and_balance_the_books() {
-        let gw =
-            SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), SchedConfig::default());
+        let gw = SchedGateway::new(api_with(img().build()), SchedConfig::default());
         let outcomes = run_with(&gw, |ctx, g| {
             let rxs: Vec<_> = (0..6)
                 .map(|_| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()).unwrap())
@@ -1045,8 +924,7 @@ mod tests {
         // stays on the CPU; only once its queue-wait estimate exceeds the
         // DPU's exec + cold estimate should spillover start. 48 back-to-back
         // submits push it well past that point.
-        let gw =
-            SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), SchedConfig::default());
+        let gw = SchedGateway::new(api_with(img().build()), SchedConfig::default());
         let pus = run_with(&gw, |ctx, g| {
             let rxs: Vec<_> = (0..48)
                 .map(|_| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()).unwrap())
@@ -1066,7 +944,7 @@ mod tests {
     fn full_queues_reject_with_queue_full() {
         let config =
             SchedConfig { depth: 1, cpu_tokens: 1, dpu_tokens: 1, ..SchedConfig::default() };
-        let gw = SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), config);
+        let gw = SchedGateway::new(api_with(img().build()), config);
         let (accepted, rejected) = run_with(&gw, |ctx, g| {
             // Never start workers' turn: submit everything in one burst so
             // queues cannot drain between offers (workers only run when this
@@ -1097,11 +975,11 @@ mod tests {
 
     #[test]
     fn unmeetable_deadlines_are_rejected_up_front() {
-        let gw =
-            SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), SchedConfig::default());
-        let opts =
-            SubmitOpts { deadline: Some(SimDuration::from_micros(1)), ..SubmitOpts::default() };
-        let err = run_with(&gw, move |ctx, g| g.submit(ctx, &"img".into(), 1024, opts).err());
+        // A 1 µs SLO: no PU's estimate can meet it.
+        let api = api_with(img().slo_latency_ms(0.001).build());
+        let gw = SchedGateway::new(api, SchedConfig::default());
+        let err =
+            run_with(&gw, |ctx, g| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()).err());
         match err {
             Some(SubmitError::Overloaded(Overloaded::DeadlineUnmeetable {
                 estimated,
@@ -1117,14 +995,12 @@ mod tests {
     #[test]
     fn queued_requests_past_deadline_are_shed_not_lost() {
         // One token, generous queue: the head request monopolises service
-        // long enough that the tail blows its deadline while queued.
+        // long enough that the tail blows its 40 ms SLO while queued.
         let config = SchedConfig { cpu_tokens: 1, dpu_tokens: 1, ..SchedConfig::default() };
-        let gw = SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), config);
-        let opts =
-            SubmitOpts { deadline: Some(SimDuration::from_millis(40)), ..SubmitOpts::default() };
-        let outcomes = run_with(&gw, move |ctx, g| {
+        let gw = SchedGateway::new(api_with(img().slo_latency_ms(40.0).build()), config);
+        let outcomes = run_with(&gw, |ctx, g| {
             let rxs: Vec<_> = (0..10)
-                .map(|_| g.submit(ctx, &"img".into(), 1024, opts))
+                .map(|_| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()))
                 .filter_map(Result::ok)
                 .collect();
             rxs.into_iter().map(|rx| rx.recv(ctx).unwrap()).collect::<Vec<_>>()
@@ -1142,72 +1018,17 @@ mod tests {
     }
 
     #[test]
-    fn autoscaler_prewarms_for_observed_load_and_retires_when_idle() {
-        let config = SchedConfig {
-            autoscale: Some(AutoscaleConfig {
-                interval: SimDuration::from_millis(20),
-                tau: SimDuration::from_millis(100),
-                min_warm: 0,
-                max_warm: 4,
-                max_warm_per_pu: 2,
-                ..AutoscaleConfig::default()
-            }),
-            ..SchedConfig::default()
-        };
-        let gw = SchedGateway::new(api_over(Machine::paper_cpu_dpu_server()), config);
-        let (peak, after_idle) = run_with(&gw, |ctx, g| {
-            // Drive ~200 Hz for 100 ms so the estimator sees real load.
-            for _ in 0..20 {
-                let rx = g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()).unwrap();
-                let _ = rx.recv(ctx);
-                ctx.sleep(SimDuration::from_millis(5));
-            }
-            let (grown, _) = g.autoscale_tick(ctx);
-            let peak: usize = g
-                .api()
-                .molecule()
-                .machine()
-                .pus()
-                .iter()
-                .map(|pu| g.api().warm_idle_count(&"img".into(), pu.id))
-                .sum();
-            assert!(grown > 0 || peak > 0, "autoscaler should have prewarmed under load");
-            // Go idle for 10 tau and reconcile again: pools shrink.
-            ctx.sleep(SimDuration::from_secs(1));
-            g.autoscale_tick(ctx);
-            let after: usize = g
-                .api()
-                .molecule()
-                .machine()
-                .pus()
-                .iter()
-                .map(|pu| g.api().warm_idle_count(&"img".into(), pu.id))
-                .sum();
-            (peak, after)
-        });
-        assert!(peak >= 1, "warm pool should grow under load, got {peak}");
-        assert!(after_idle < peak, "idle decay should shrink pools: {peak} -> {after_idle}");
-    }
-
-    #[test]
     fn dead_pu_drains_its_queue_into_survivors() {
         // A DPU-only function: requests spread over the two DPUs, then one
         // DPU dies with work still queued. Everything must finish on the
         // survivor.
-        let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
-        molecule.register_function(
+        let api = api_with(
             FunctionDef::builder("edge", LangRuntime::Python)
                 .profiles(&[PuKind::Dpu])
                 .exec_ms(10.0)
                 .init_ms(6.0)
                 .cfork_first_run_ms(1.0)
                 .build(),
-        );
-        let api = ApiGateway::new(
-            molecule,
-            Scheduler::default(),
-            GatewayConfig::default(),
-            Box::new(Lru::new()),
         );
         let gw = SchedGateway::new(api, SchedConfig { dpu_tokens: 1, ..SchedConfig::default() });
         let outcomes = run_with(&gw, |ctx, g| {
@@ -1234,20 +1055,13 @@ mod tests {
         use molecule_state::{RegionSpec, StateLayer};
         use xpu_shim::cluster::{ShimCluster, ShimConfig};
 
-        let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
-        molecule.register_function(
+        let api = api_with(
             FunctionDef::builder("infer", LangRuntime::Python)
                 .profiles(&[PuKind::Dpu])
                 .exec_ms(1.0)
                 .init_ms(1.0)
                 .region("weights")
                 .build(),
-        );
-        let api = ApiGateway::new(
-            molecule,
-            Scheduler::default(),
-            GatewayConfig::default(),
-            Box::new(Lru::new()),
         );
         let gw = SchedGateway::new(api, SchedConfig::default());
         let layer = StateLayer::new(ShimCluster::deploy(

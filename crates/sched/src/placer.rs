@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! score(pu) = exec(pu) + cold_start(pu) + queue_wait(pu)
-//!             + slo_term(pu) - COLOCATE_BONUS - STATE_BONUS - NODE_BONUS
+//!             + slo_term(pu) - STATE_BONUS - NODE_BONUS
 //! ```
 //!
 //! * `exec(pu)` — the function's execution-time estimate on that PU, from
@@ -18,16 +18,15 @@
 //!   image flash + sandbox prep on FPGAs, module load on GPUs);
 //! * `queue_wait(pu)` — live queue depth × EWMA service time, supplied by
 //!   the caller from its [`RunQueue`]s;
-//! * [`COLOCATE_BONUS`] (1 ms) — subtracted when `pu` equals the previous chain
-//!   stage's PU, keeping the paper's §5 chain co-location as a scoring
-//!   preference (DAG stages still exploit nIPC direct-connect) instead of
-//!   an absolute rule;
 //! * [`STATE_BONUS`] (2 ms) — subtracted when `pu` already hosts a replica of one of
 //!   the function's declared shared-state regions
 //!   ([`FunctionDef::regions`]): running where the pages live turns the
 //!   region attach into a `map_shared` of resident pages instead of a
 //!   cross-PU pull, so state locality competes in the same currency as
 //!   queueing and cold starts;
+//! * [`NODE_BONUS`] (0.5 ms) — subtracted, on a multi-node rack, when `pu`
+//!   shares a node with such a host: the attach then stays off the rack
+//!   fabric even when the exact PU is busy;
 //! * `slo_term(pu)` — read from the function's declared
 //!   [`SloClass`](molecule_tenancy::SloClass): a latency-sensitive function
 //!   counts cold start and queue wait *twice* (it is willing to pay exec
@@ -36,7 +35,9 @@
 //!   queueing that would blow a latency SLO). Functions with no SLO score
 //!   exactly as before.
 //!
-//! Ties break on the PU id, so placement stays deterministic.
+//! Ties break on the PU id, so placement stays deterministic. Chains are
+//! not placed here: `dag::run_chain` and `RackFront::plan_chain` place
+//! their stages explicitly.
 //!
 //! [`ExecModel::time_on`]: molecule_core::function::ExecModel::time_on
 //! [`RunQueue`]: crate::queue::RunQueue
@@ -77,8 +78,8 @@ pub struct Candidate {
 
 impl Candidate {
     /// Estimated completion latency for an admission decision: queue wait +
-    /// cold start + execution (the colocation bonus is a preference, not a
-    /// latency, so it is excluded here).
+    /// cold start + execution (the locality bonuses are preferences, not
+    /// latencies, so they are excluded here).
     pub fn estimated_latency(&self) -> SimDuration {
         self.wait + self.cold + self.exec
     }
@@ -136,15 +137,11 @@ pub fn cold_estimate(machine: &Machine, def: &FunctionDef, pu: PuId) -> SimDurat
     }
 }
 
-/// Score credit for serving a chain stage where the previous stage ran.
-pub const COLOCATE_BONUS: SimDuration = SimDuration::from_millis(1);
-
 /// Score credit for a PU that already hosts a replica of one of the
 /// function's declared shared-state regions.
 pub const STATE_BONUS: SimDuration = SimDuration::from_millis(2);
 
-/// Score credit for any PU on the same rack node as the previous chain
-/// stage or a state-region host.
+/// Score credit for any PU on the same rack node as a state-region host.
 pub const NODE_BONUS: SimDuration = SimDuration::from_micros(500);
 
 /// Ranks the candidate PUs in `loads` for `def`, best first.
@@ -152,26 +149,23 @@ pub const NODE_BONUS: SimDuration = SimDuration::from_micros(500);
 /// Only PUs in `loads` that the function supports *and* that pass the
 /// capacity check ([`Scheduler::pu_has_capacity`] — memory headroom on
 /// general PUs, fabric/slot headroom on accelerators) are considered.
-/// `prev_stage` earns its PU the [`COLOCATE_BONUS`] score credit; PUs in
-/// `state_hosts` (replica holders of the function's declared regions, from
-/// the gateway's `RegionDirectory`) earn [`STATE_BONUS`].
+/// PUs in `state_hosts` (replica holders of the function's declared
+/// regions, from the gateway's `RegionDirectory`) earn [`STATE_BONUS`].
 ///
-/// On a rack, any PU sharing a *node* with `prev_stage` or a state host
-/// earns [`NODE_BONUS`]: even when the exact PU is busy, keeping a DAG
-/// stage or region consumer on the same node avoids the fabric tier
-/// entirely. Single-node machines are unaffected (every PU is on the
-/// preferred node, so the term cancels out of the ranking).
+/// On a rack, any PU sharing a *node* with a state host earns
+/// [`NODE_BONUS`]: even when the exact PU is busy, keeping a region
+/// consumer on the same node avoids the fabric tier entirely. Single-node
+/// machines are unaffected (every PU is on the preferred node, so the term
+/// cancels out of the ranking).
 pub fn rank(
     machine: &Machine,
     def: &FunctionDef,
     input: u64,
-    prev_stage: Option<PuId>,
     loads: &[PuLoad],
     state_hosts: &[PuId],
 ) -> Vec<Candidate> {
     let preferred_nodes: Vec<_> = if machine.node_count() > 1 {
-        let mut nodes: Vec<_> =
-            prev_stage.iter().chain(state_hosts).map(|&pu| machine.node_of(pu)).collect();
+        let mut nodes: Vec<_> = state_hosts.iter().map(|&pu| machine.node_of(pu)).collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
@@ -203,9 +197,6 @@ pub fn rank(
                 score = score.saturating_sub((cold + load.wait).mul_f64(0.5));
             }
             None => {}
-        }
-        if prev_stage == Some(load.pu) {
-            score = score.saturating_sub(COLOCATE_BONUS);
         }
         if state_hosts.contains(&load.pu) {
             score = score.saturating_sub(STATE_BONUS);
@@ -240,7 +231,7 @@ mod tests {
     fn unloaded_cpu_beats_slower_dpus() {
         let machine = Machine::paper_cpu_dpu_server();
         let loads = [idle(PuId(0)), idle(PuId(1)), idle(PuId(2))];
-        let ranked = rank(&machine, &def(), 0, None, &loads, &[]);
+        let ranked = rank(&machine, &def(), 0, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(0), "CPU exec 10ms < DPU exec 62ms");
         assert_eq!(ranked.len(), 3);
     }
@@ -254,7 +245,7 @@ mod tests {
             idle(PuId(1)),
             idle(PuId(2)),
         ];
-        let ranked = rank(&machine, &def(), 0, None, &loads, &[]);
+        let ranked = rank(&machine, &def(), 0, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "load-aware: overflow to the idle DPU");
     }
 
@@ -273,26 +264,10 @@ mod tests {
             PuLoad { pu: PuId(0), wait: SimDuration::ZERO, warm: false },
             PuLoad { pu: PuId(1), wait: SimDuration::ZERO, warm: true },
         ];
-        let ranked = rank(&machine, &quick, 0, None, &loads, &[]);
+        let ranked = rank(&machine, &quick, 0, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "warm DPU beats cold CPU for a tiny function");
         assert_eq!(ranked[0].cold, SimDuration::ZERO);
         assert!(ranked[1].cold > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn colocate_bonus_tilts_a_near_tie_toward_the_chain_pu() {
-        let machine = Machine::paper_cpu_dpu_server();
-        let loads = [idle(PuId(1)), idle(PuId(2))];
-        let dpu_fn = FunctionDef::builder("d", LangRuntime::Python)
-            .profiles(&[PuKind::Dpu])
-            .exec_ms(1.0)
-            .build();
-        // Identical DPUs: without the bonus, the lower PU id wins the tie.
-        let plain = rank(&machine, &dpu_fn, 0, None, &loads, &[]);
-        assert_eq!(plain[0].pu, PuId(1));
-        // With the previous stage on PU 2, the bonus flips the choice.
-        let chained = rank(&machine, &dpu_fn, 0, Some(PuId(2)), &loads, &[]);
-        assert_eq!(chained[0].pu, PuId(2), "chain co-location is a scoring bonus");
     }
 
     #[test]
@@ -305,10 +280,10 @@ mod tests {
             .region("weights")
             .build();
         // Identical DPUs: lower id wins without the term...
-        let plain = rank(&machine, &dpu_fn, 0, None, &loads, &[]);
+        let plain = rank(&machine, &dpu_fn, 0, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
         // ...but PU 2 hosting the region's pages flips the choice.
-        let steered = rank(&machine, &dpu_fn, 0, None, &loads, &[PuId(2)]);
+        let steered = rank(&machine, &dpu_fn, 0, &loads, &[PuId(2)]);
         assert_eq!(steered[0].pu, PuId(2), "state locality is a scoring bonus");
         // The bonus saturates: it can prefer, never produce negative scores.
         assert!(steered[0].score <= plain[1].score);
@@ -321,7 +296,7 @@ mod tests {
         // function rides the backlog (50ms < 62ms)...
         let loads =
             [PuLoad { pu: PuId(0), wait: SimDuration::from_millis(40), warm: true }, idle(PuId(1))];
-        let plain = rank(&machine, &def(), 0, None, &loads, &[]);
+        let plain = rank(&machine, &def(), 0, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(0), "plain: 10+40 < 62");
         // ...a latency-SLO function double-counts the wait and flees to the
         // idle DPU (10+40+40 > 62)...
@@ -331,13 +306,13 @@ mod tests {
             .cfork_first_run_ms(1.0)
             .slo_latency_ms(100.0)
             .build();
-        let ranked = rank(&machine, &lat, 0, None, &loads, &[]);
+        let ranked = rank(&machine, &lat, 0, &loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "latency SLO flees the deep queue");
         // ...and a batch function absorbs an even deeper queue the plain
         // function would flee (70-30 < 62 while 10+60 > 62).
         let deep =
             [PuLoad { pu: PuId(0), wait: SimDuration::from_millis(60), warm: true }, idle(PuId(1))];
-        let plain_deep = rank(&machine, &def(), 0, None, &deep, &[]);
+        let plain_deep = rank(&machine, &def(), 0, &deep, &[]);
         assert_eq!(plain_deep[0].pu, PuId(1), "plain flees a 60ms backlog");
         let batch = FunctionDef::builder("bulk", LangRuntime::Python)
             .profiles(&[PuKind::Cpu, PuKind::Dpu])
@@ -345,7 +320,7 @@ mod tests {
             .cfork_first_run_ms(1.0)
             .slo_batch()
             .build();
-        let absorbed = rank(&machine, &batch, 0, None, &deep, &[]);
+        let absorbed = rank(&machine, &batch, 0, &deep, &[]);
         assert_eq!(absorbed[0].pu, PuId(0), "batch absorbs the backlog");
     }
 
@@ -358,13 +333,13 @@ mod tests {
             .exec_ms(1.0)
             .build();
         let loads = [idle(PuId(1)), idle(PuId(3))];
-        // Without a previous stage the identical DPUs tie and the lower id
+        // Without a state host the identical DPUs tie and the lower id
         // wins...
-        let plain = rank(&machine, &dpu_fn, 0, None, &loads, &[]);
+        let plain = rank(&machine, &dpu_fn, 0, &loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
-        // ...with the previous stage on node 1's host, the neighbour DPU on
-        // that node wins, keeping the DAG edge off the rack fabric.
-        let steered = rank(&machine, &dpu_fn, 0, Some(PuId(2)), &loads, &[]);
+        // ...with a region hosted on node 1's host, the neighbour DPU on
+        // that node wins, keeping the attach off the rack fabric.
+        let steered = rank(&machine, &dpu_fn, 0, &loads, &[PuId(2)]);
         assert_eq!(steered[0].pu, PuId(3), "node locality is a scoring bonus");
     }
 }

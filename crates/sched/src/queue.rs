@@ -3,23 +3,20 @@
 //!
 //! The seed gateway served every request inline: a PU could accumulate an
 //! unbounded backlog with no admission signal whatsoever. [`RunQueue`] is
-//! the replacement primitive: a bounded, priority-lane queue with a
-//! token-style concurrency limit and deadline-aware shedding. Inside each
-//! priority lane entries are arbitrated by a start-time-fair
-//! [`SfqQueue`](molecule_tenancy::SfqQueue) over per-tenant sub-queues, so
-//! one tenant's flood cannot starve another's trickle. It is a pure
-//! deterministic data structure — the property tests in
-//! `tests/properties.rs` drive it directly, and [`SchedGateway`] wraps one
-//! per PU.
+//! the replacement primitive: a bounded queue with a token-style
+//! concurrency limit and deadline-aware shedding. Entries are arbitrated
+//! by a start-time-fair [`SfqQueue`](molecule_tenancy::SfqQueue) over
+//! per-tenant sub-queues, so one tenant's flood cannot starve another's
+//! trickle. It is a pure deterministic data structure — the property tests
+//! in `tests/properties.rs` drive it directly, and [`SchedGateway`] wraps
+//! one per PU.
 //!
 //! Invariants (property-tested):
 //!
 //! * **bounded depth** — `queued() <= policy.depth` always; an offer into a
 //!   full queue is rejected with a typed [`Overloaded`], never dropped;
-//! * **FIFO per (priority, tenant)** — within one tenant's sub-queue of one
-//!   priority lane, jobs dispatch in offer order; across lanes, lower
-//!   [`Priority`] values dispatch first; within a lane, SFQ virtual time
-//!   arbitrates tenants by weight;
+//! * **FIFO per tenant** — within one tenant's sub-queue, jobs dispatch in
+//!   offer order; across tenants, SFQ virtual time arbitrates by weight;
 //! * **conservation** — every admitted ticket leaves the queue exactly once
 //!   (dispatched, shed, or drained), never twice and never silently;
 //! * **tenant token caps** — with several tenants backlogged, no tenant
@@ -35,9 +32,6 @@ use std::fmt;
 use hetsim::pu::PuId;
 use hetsim::time::{SimDuration, SimTime};
 use molecule_tenancy::{SfqQueue, TenantId};
-
-/// Dispatch priority: lower values dispatch first. `0` is the most urgent.
-pub type Priority = u8;
 
 /// Why an admitted entry was dropped before service — carried in
 /// `JobOutcome::Shed` so callers can tell an SLO miss from a fairness
@@ -156,8 +150,6 @@ pub struct Queued<T> {
     pub ticket: Ticket,
     /// The tenant it was admitted for.
     pub tenant: TenantId,
-    /// The entry's priority lane.
-    pub priority: Priority,
     /// Whether the entry is batch-class (first to evict under pressure).
     pub batch: bool,
     /// When the entry was offered.
@@ -179,13 +171,27 @@ struct Entry<T> {
     payload: T,
 }
 
-/// A bounded run queue for one PU: priority lanes of per-tenant SFQ
-/// sub-queues.
+impl<T> Entry<T> {
+    /// The caller-facing view of an entry leaving the queue at `now`.
+    fn leave(self, tenant: TenantId, now: SimTime) -> Queued<T> {
+        Queued {
+            ticket: self.ticket,
+            tenant,
+            batch: self.batch,
+            enqueued_at: self.enqueued_at,
+            deadline: self.deadline,
+            waited: now.saturating_duration_since(self.enqueued_at),
+            payload: self.payload,
+        }
+    }
+}
+
+/// A bounded run queue for one PU: per-tenant SFQ sub-queues.
 #[derive(Debug)]
 pub struct RunQueue<T> {
     pu: PuId,
     policy: QueuePolicy,
-    lanes: BTreeMap<Priority, SfqQueue<Entry<T>>>,
+    entries: SfqQueue<Entry<T>>,
     /// Last weight seen per tenant — the SFQ tags already encode it, but
     /// the token-cap computation needs the denominator.
     weights: BTreeMap<TenantId, u32>,
@@ -212,7 +218,7 @@ impl<T> RunQueue<T> {
         RunQueue {
             pu,
             policy,
-            lanes: BTreeMap::new(),
+            entries: SfqQueue::new(),
             weights: BTreeMap::new(),
             in_service: 0,
             in_service_by: BTreeMap::new(),
@@ -234,19 +240,12 @@ impl<T> RunQueue<T> {
 
     /// Entries waiting (not yet dispatched).
     pub fn queued(&self) -> usize {
-        self.lanes.values().map(SfqQueue::len).sum()
+        self.entries.len()
     }
 
-    /// Queued entries per tenant, summed across priority lanes, sorted by
-    /// tenant id.
+    /// Queued entries per tenant, sorted by tenant id.
     pub fn queued_by_tenant(&self) -> Vec<(TenantId, usize)> {
-        let mut by: BTreeMap<TenantId, usize> = BTreeMap::new();
-        for lane in self.lanes.values() {
-            for (tenant, n) in lane.queued_by_tenant() {
-                *by.entry(tenant).or_default() += n;
-            }
-        }
-        by.into_iter().collect()
+        self.entries.queued_by_tenant()
     }
 
     /// Entries currently in service (dispatched, not finished).
@@ -290,11 +289,10 @@ impl<T> RunQueue<T> {
     pub fn offer(
         &mut self,
         now: SimTime,
-        priority: Priority,
         deadline: Option<SimTime>,
         payload: T,
     ) -> Result<Ticket, (Overloaded, T)> {
-        self.offer_for(now, TenantId::SYSTEM, 1, false, priority, deadline, payload)
+        self.offer_for(now, TenantId::SYSTEM, 1, false, deadline, payload)
     }
 
     /// Offers an entry for `tenant` with its WFQ `weight`. `batch` marks it
@@ -302,14 +300,13 @@ impl<T> RunQueue<T> {
     /// latency-class admission finds the queue full. Returns the admission
     /// ticket, or the payload back with a typed [`Overloaded`] when the
     /// queue is at its depth bound.
-    #[allow(clippy::result_large_err, clippy::too_many_arguments)]
+    #[allow(clippy::result_large_err)]
     pub fn offer_for(
         &mut self,
         now: SimTime,
         tenant: TenantId,
         weight: u32,
         batch: bool,
-        priority: Priority,
         deadline: Option<SimTime>,
         payload: T,
     ) -> Result<Ticket, (Overloaded, T)> {
@@ -319,19 +316,13 @@ impl<T> RunQueue<T> {
                 payload,
             ));
         }
-        Ok(self.push(now, tenant, weight, batch, priority, deadline, payload))
+        Ok(self.force_for(now, tenant, weight, batch, deadline, payload))
     }
 
     /// Enqueues for the system tenant bypassing the depth bound — see
     /// [`force_for`](Self::force_for).
-    pub fn force(
-        &mut self,
-        now: SimTime,
-        priority: Priority,
-        deadline: Option<SimTime>,
-        payload: T,
-    ) -> Ticket {
-        self.force_for(now, TenantId::SYSTEM, 1, false, priority, deadline, payload)
+    pub fn force(&mut self, now: SimTime, deadline: Option<SimTime>, payload: T) -> Ticket {
+        self.force_for(now, TenantId::SYSTEM, 1, false, deadline, payload)
     }
 
     /// Enqueues bypassing the depth bound — the failover path. Entries
@@ -339,35 +330,19 @@ impl<T> RunQueue<T> {
     /// survivor would turn a PU failure into silent request loss, so
     /// conservation wins over the bound here. Normal admission always goes
     /// through [`offer_for`](Self::offer_for).
-    #[allow(clippy::too_many_arguments)]
     pub fn force_for(
         &mut self,
         now: SimTime,
         tenant: TenantId,
         weight: u32,
         batch: bool,
-        priority: Priority,
-        deadline: Option<SimTime>,
-        payload: T,
-    ) -> Ticket {
-        self.push(now, tenant, weight, batch, priority, deadline, payload)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        now: SimTime,
-        tenant: TenantId,
-        weight: u32,
-        batch: bool,
-        priority: Priority,
         deadline: Option<SimTime>,
         payload: T,
     ) -> Ticket {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         self.weights.insert(tenant, weight.max(1));
-        self.lanes.entry(priority).or_default().push(
+        self.entries.push(
             tenant,
             weight,
             Entry { ticket, batch, enqueued_at: now, deadline, payload },
@@ -381,10 +356,8 @@ impl<T> RunQueue<T> {
     /// whole token pool, so gating only bites under contention.
     fn service_caps(&self) -> BTreeMap<TenantId, usize> {
         let mut active: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for lane in self.lanes.values() {
-            for (tenant, _) in lane.queued_by_tenant() {
-                active.entry(tenant).or_insert_with(|| u64::from(self.weight_of(tenant)));
-            }
+        for (tenant, _) in self.entries.queued_by_tenant() {
+            active.entry(tenant).or_insert_with(|| u64::from(self.weight_of(tenant)));
         }
         for (tenant, n) in &self.in_service_by {
             if *n > 0 {
@@ -406,36 +379,25 @@ impl<T> RunQueue<T> {
         self.weights.get(&tenant).copied().unwrap_or(1)
     }
 
-    /// Dispatches the next entry (lowest priority value first, SFQ virtual
-    /// time within a lane), marking one token busy. Returns `None` when
-    /// nothing is queued. Does **not** check the total token bound — the
-    /// caller's worker processes *are* the tokens; a worker only calls
-    /// `begin` when it holds one. It *does* enforce the per-tenant share
+    /// Dispatches the next entry (smallest SFQ virtual start time), marking
+    /// one token busy. Returns `None` when nothing is queued. Does **not**
+    /// check the total token bound — the caller's worker processes *are*
+    /// the tokens; a worker only calls `begin` when it holds one. It *does* enforce the per-tenant share
     /// cap: a tenant already at its share is skipped while an under-share
     /// tenant has queued work, falling back to an unfiltered pop so idle
     /// share is never wasted.
     pub fn begin(&mut self, now: SimTime) -> Option<Queued<T>> {
         let caps = self.service_caps();
-        let held = self.in_service_by.clone();
-        let (&priority, lane) = self.lanes.iter_mut().find(|(_, l)| !l.is_empty())?;
-        let (tenant, entry) = lane
+        let held = &self.in_service_by;
+        let (tenant, entry) = self
+            .entries
             .pop_where(|t| {
                 held.get(&t).copied().unwrap_or(0) < caps.get(&t).copied().unwrap_or(usize::MAX)
             })
-            .or_else(|| lane.pop())
-            .expect("lane checked non-empty");
+            .or_else(|| self.entries.pop())?;
         self.in_service += 1;
         *self.in_service_by.entry(tenant).or_default() += 1;
-        Some(Queued {
-            ticket: entry.ticket,
-            tenant,
-            priority,
-            batch: entry.batch,
-            enqueued_at: entry.enqueued_at,
-            deadline: entry.deadline,
-            waited: now.saturating_duration_since(entry.enqueued_at),
-            payload: entry.payload,
-        })
+        Some(entry.leave(tenant, now))
     }
 
     /// Completes one in-service entry for `tenant`, returning its token and
@@ -473,22 +435,11 @@ impl<T> RunQueue<T> {
     /// Removes and returns every queued entry whose deadline has passed —
     /// the load-shedding sweep a worker runs before dispatching.
     pub fn shed_expired(&mut self, now: SimTime) -> Vec<Queued<T>> {
-        let mut out = Vec::new();
-        for (&priority, lane) in self.lanes.iter_mut() {
-            for (tenant, entry) in lane.remove_where(|_, e| e.deadline.is_some_and(|d| d <= now)) {
-                out.push(Queued {
-                    ticket: entry.ticket,
-                    tenant,
-                    priority,
-                    batch: entry.batch,
-                    enqueued_at: entry.enqueued_at,
-                    deadline: entry.deadline,
-                    waited: now.saturating_duration_since(entry.enqueued_at),
-                    payload: entry.payload,
-                });
-            }
-        }
-        out
+        self.entries
+            .remove_where(|_, e| e.deadline.is_some_and(|d| d <= now))
+            .into_iter()
+            .map(|(tenant, entry)| entry.leave(tenant, now))
+            .collect()
     }
 
     /// Evicts the *youngest* queued batch-class entry, if any — the
@@ -497,26 +448,14 @@ impl<T> RunQueue<T> {
     /// retries; latency SLOs do not). Youngest-first keeps the oldest batch
     /// work (closest to dispatch) intact.
     pub fn evict_batch(&mut self, now: SimTime) -> Option<Queued<T>> {
-        let victim = self
-            .lanes
+        let ticket = self
+            .entries
             .iter()
-            .flat_map(|(&priority, lane)| lane.iter().map(move |(t, e)| (priority, t, e)))
-            .filter(|(_, _, e)| e.batch)
-            .max_by_key(|(_, _, e)| (e.enqueued_at, e.ticket))
-            .map(|(priority, _, e)| (priority, e.ticket))?;
-        let (priority, ticket) = victim;
-        let lane = self.lanes.get_mut(&priority).expect("victim's lane exists");
-        let (tenant, entry) = lane.remove_where(|_, e| e.ticket == ticket).pop()?;
-        Some(Queued {
-            ticket: entry.ticket,
-            tenant,
-            priority,
-            batch: entry.batch,
-            enqueued_at: entry.enqueued_at,
-            deadline: entry.deadline,
-            waited: now.saturating_duration_since(entry.enqueued_at),
-            payload: entry.payload,
-        })
+            .filter(|(_, e)| e.batch)
+            .max_by_key(|(_, e)| (e.enqueued_at, e.ticket))
+            .map(|(_, e)| e.ticket)?;
+        let (tenant, entry) = self.entries.remove_where(|_, e| e.ticket == ticket).pop()?;
+        Some(entry.leave(tenant, now))
     }
 
     /// Removes and returns every queued entry, dispatch order preserved —
@@ -524,22 +463,7 @@ impl<T> RunQueue<T> {
     /// can re-place every entry on a survivor. Does not touch the service
     /// tokens.
     pub fn drain(&mut self, now: SimTime) -> Vec<Queued<T>> {
-        let mut out = Vec::new();
-        for (&priority, lane) in self.lanes.iter_mut() {
-            while let Some((tenant, entry)) = lane.pop() {
-                out.push(Queued {
-                    ticket: entry.ticket,
-                    tenant,
-                    priority,
-                    batch: entry.batch,
-                    enqueued_at: entry.enqueued_at,
-                    deadline: entry.deadline,
-                    waited: now.saturating_duration_since(entry.enqueued_at),
-                    payload: entry.payload,
-                });
-            }
-        }
-        out
+        std::iter::from_fn(|| self.entries.pop()).map(|(t, e)| e.leave(t, now)).collect()
     }
 }
 
@@ -554,9 +478,9 @@ mod tests {
     #[test]
     fn offer_rejects_beyond_depth_with_typed_overload() {
         let mut q = RunQueue::new(PuId(1), QueuePolicy { depth: 2, tokens: 1 });
-        q.offer(t(0), 0, None, "a").unwrap();
-        q.offer(t(1), 0, None, "b").unwrap();
-        let (err, payload) = q.offer(t(2), 0, None, "c").unwrap_err();
+        q.offer(t(0), None, "a").unwrap();
+        q.offer(t(1), None, "b").unwrap();
+        let (err, payload) = q.offer(t(2), None, "c").unwrap_err();
         assert_eq!(payload, "c", "the payload comes back to the caller");
         assert!(matches!(
             err,
@@ -567,14 +491,13 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_is_fifo_within_a_lane_and_priority_across_lanes() {
+    fn dispatch_is_fifo_in_offer_order() {
         let mut q = RunQueue::new(PuId(0), QueuePolicy { depth: 8, tokens: 2 });
-        q.offer(t(0), 1, None, "low-1").unwrap();
-        q.offer(t(1), 0, None, "hi-1").unwrap();
-        q.offer(t(2), 1, None, "low-2").unwrap();
-        q.offer(t(3), 0, None, "hi-2").unwrap();
+        for (i, name) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            q.offer(t(i as u64), None, name).unwrap();
+        }
         let order: Vec<&str> = std::iter::from_fn(|| q.begin(t(10)).map(|e| e.payload)).collect();
-        assert_eq!(order, ["hi-1", "hi-2", "low-1", "low-2"]);
+        assert_eq!(order, ["a", "b", "c", "d"]);
         assert_eq!(q.in_service(), 4);
     }
 
@@ -582,8 +505,8 @@ mod tests {
     fn backlogged_tenants_share_a_lane_by_weight() {
         let mut q = RunQueue::new(PuId(0), QueuePolicy { depth: 64, tokens: 4 });
         for i in 0..12u32 {
-            q.offer_for(t(0), TenantId(1), 3, false, 0, None, i).unwrap();
-            q.offer_for(t(0), TenantId(2), 1, false, 0, None, 100 + i).unwrap();
+            q.offer_for(t(0), TenantId(1), 3, false, None, i).unwrap();
+            q.offer_for(t(0), TenantId(2), 1, false, None, 100 + i).unwrap();
         }
         let mut counts = [0u32; 3];
         for _ in 0..8 {
@@ -603,9 +526,9 @@ mod tests {
         // even though tenant 1's head has the smaller SFQ start tag.
         let mut q = RunQueue::new(PuId(0), QueuePolicy { depth: 64, tokens: 2 });
         for i in 0..4u32 {
-            q.offer_for(t(i as u64), TenantId(1), 1, false, 0, None, i).unwrap();
+            q.offer_for(t(i as u64), TenantId(1), 1, false, None, i).unwrap();
         }
-        q.offer_for(t(10), TenantId(2), 1, false, 0, None, 100).unwrap();
+        q.offer_for(t(10), TenantId(2), 1, false, None, 100).unwrap();
         let first = q.begin(t(11)).unwrap();
         assert_eq!(first.tenant, TenantId(1), "smallest start tag dispatches first");
         let second = q.begin(t(11)).unwrap();
@@ -620,9 +543,9 @@ mod tests {
     #[test]
     fn shed_expired_removes_only_past_deadline_entries() {
         let mut q = RunQueue::new(PuId(0), QueuePolicy::default());
-        q.offer(t(0), 0, Some(t(5)), "expires").unwrap();
-        q.offer(t(0), 0, Some(t(500)), "survives").unwrap();
-        q.offer(t(0), 0, None, "no-deadline").unwrap();
+        q.offer(t(0), Some(t(5)), "expires").unwrap();
+        q.offer(t(0), Some(t(500)), "survives").unwrap();
+        q.offer(t(0), None, "no-deadline").unwrap();
         let shed = q.shed_expired(t(10));
         assert_eq!(shed.len(), 1);
         assert_eq!(shed[0].payload, "expires");
@@ -633,9 +556,9 @@ mod tests {
     #[test]
     fn evict_batch_takes_the_youngest_batch_entry_only() {
         let mut q = RunQueue::new(PuId(0), QueuePolicy { depth: 4, tokens: 1 });
-        q.offer_for(t(0), TenantId(1), 1, true, 0, None, "old-batch").unwrap();
-        q.offer_for(t(1), TenantId(2), 1, false, 0, None, "latency").unwrap();
-        q.offer_for(t(2), TenantId(1), 1, true, 0, None, "young-batch").unwrap();
+        q.offer_for(t(0), TenantId(1), 1, true, None, "old-batch").unwrap();
+        q.offer_for(t(1), TenantId(2), 1, false, None, "latency").unwrap();
+        q.offer_for(t(2), TenantId(1), 1, true, None, "young-batch").unwrap();
         let victim = q.evict_batch(t(3)).unwrap();
         assert_eq!(victim.payload, "young-batch");
         assert!(victim.batch);
@@ -652,21 +575,21 @@ mod tests {
         let mut q: RunQueue<u32> = RunQueue::new(PuId(0), QueuePolicy { depth: 8, tokens: 2 });
         let fallback = SimDuration::from_millis(1);
         assert_eq!(q.estimated_wait(fallback), SimDuration::ZERO);
-        q.offer(t(0), 0, None, 1).unwrap();
+        q.offer(t(0), None, 1).unwrap();
         q.begin(t(0)).unwrap();
         q.finish(TenantId::SYSTEM, SimDuration::from_millis(10));
         assert_eq!(q.ewma_service_or(fallback), SimDuration::from_millis(10));
         // Two outstanding over two tokens = one smoothed service time.
-        q.offer(t(1), 0, None, 2).unwrap();
-        q.offer(t(1), 0, None, 3).unwrap();
+        q.offer(t(1), None, 2).unwrap();
+        q.offer(t(1), None, 3).unwrap();
         assert_eq!(q.estimated_wait(fallback), SimDuration::from_millis(10));
     }
 
     #[test]
     fn drain_returns_everything_in_dispatch_order() {
         let mut q = RunQueue::new(PuId(2), QueuePolicy { depth: 8, tokens: 1 });
-        q.offer(t(0), 1, None, "b").unwrap();
-        q.offer(t(0), 0, None, "a").unwrap();
+        q.offer(t(0), None, "a").unwrap();
+        q.offer(t(0), None, "b").unwrap();
         let drained: Vec<&str> = q.drain(t(1)).into_iter().map(|e| e.payload).collect();
         assert_eq!(drained, ["a", "b"]);
         assert_eq!(q.queued(), 0);

@@ -1,70 +1,60 @@
 //! Property-based tests of the run-queue invariants the scheduler leans on:
-//! bounded depth, FIFO order within a priority lane, exact deadline
-//! shedding, and conservation — every admitted ticket leaves the queue
+//! bounded depth, FIFO dispatch order, exact deadline shedding, and conservation — every admitted ticket leaves the queue
 //! exactly once (served, shed, or drained), never lost, never dispatched
 //! twice — including under `force` (failover) admissions that bypass the
 //! depth bound.
 
-use std::collections::BTreeMap;
-
 use hetsim::pu::PuId;
 use hetsim::time::{SimDuration, SimTime};
-use molecule_sched::queue::{Priority, QueuePolicy, RunQueue, Ticket};
+use molecule_sched::queue::{QueuePolicy, RunQueue, Ticket};
 use molecule_tenancy::TenantId;
 use proptest::prelude::*;
 
-/// Reference model: per-priority FIFO lanes of (ticket, deadline).
+/// Reference model: one FIFO of (ticket, deadline).
 #[derive(Default)]
 struct Model {
-    lanes: BTreeMap<Priority, Vec<(Ticket, Option<SimTime>)>>,
+    fifo: Vec<(Ticket, Option<SimTime>)>,
 }
 
 impl Model {
     fn len(&self) -> usize {
-        self.lanes.values().map(Vec::len).sum()
+        self.fifo.len()
     }
 
-    fn push(&mut self, priority: Priority, ticket: Ticket, deadline: Option<SimTime>) {
-        self.lanes.entry(priority).or_default().push((ticket, deadline));
+    fn push(&mut self, ticket: Ticket, deadline: Option<SimTime>) {
+        self.fifo.push((ticket, deadline));
     }
 
-    /// The entry `begin` must return: head of the lowest non-empty lane.
-    fn expected_head(&mut self) -> Option<(Priority, Ticket)> {
-        let (&priority, lane) = self.lanes.iter_mut().find(|(_, l)| !l.is_empty())?;
-        let (ticket, _) = lane.remove(0);
-        self.lanes.retain(|_, l| !l.is_empty());
-        Some((priority, ticket))
+    /// The entry `begin` must return: the oldest queued ticket.
+    fn expected_head(&mut self) -> Option<Ticket> {
+        (!self.fifo.is_empty()).then(|| self.fifo.remove(0).0)
     }
 
     /// Removes and returns every entry with `deadline <= now`.
     fn expired(&mut self, now: SimTime) -> Vec<Ticket> {
         let mut out = Vec::new();
-        for lane in self.lanes.values_mut() {
-            lane.retain(|(t, dl)| {
-                if dl.is_some_and(|d| d <= now) {
-                    out.push(*t);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.lanes.retain(|_, l| !l.is_empty());
+        self.fifo.retain(|(t, dl)| {
+            if dl.is_some_and(|d| d <= now) {
+                out.push(*t);
+                false
+            } else {
+                true
+            }
+        });
         out.sort();
         out
     }
 
     fn drain_all(&mut self) -> usize {
         let n = self.len();
-        self.lanes.clear();
+        self.fifo.clear();
         n
     }
 }
 
 proptest! {
     /// Mixed op streams preserve every invariant at every step: the depth
-    /// bound (modulo forced failover entries), FIFO within priority lanes,
-    /// exact deadline shedding, and conservation of admitted tickets.
+    /// bound (modulo forced failover entries), FIFO dispatch, exact deadline shedding, and conservation of admitted tickets.
     #[test]
     fn run_queue_conserves_admits_and_orders_fifo(
         depth in 1usize..6,
@@ -85,14 +75,13 @@ proptest! {
                 // offer: admitted iff below the depth bound.
                 0 => {
                     let was_full = q.queued() >= depth;
-                    let priority = (arg % 3) as Priority;
                     let deadline = arg
                         .is_multiple_of(4)
                         .then(|| now + SimDuration::from_millis(arg % 8));
-                    match q.offer(now, priority, deadline, payload) {
+                    match q.offer(now, deadline, payload) {
                         Ok(ticket) => {
                             prop_assert!(!was_full, "offer succeeded on a full queue");
-                            model.push(priority, ticket, deadline);
+                            model.push(ticket, deadline);
                             admitted += 1;
                         }
                         Err(_) => prop_assert!(was_full, "offer bounced below the bound"),
@@ -101,19 +90,17 @@ proptest! {
                 }
                 // force: always admitted, even past the bound.
                 1 => {
-                    let priority = (arg % 3) as Priority;
-                    let ticket = q.force(now, priority, None, payload);
-                    model.push(priority, ticket, None);
+                    let ticket = q.force(now, None, payload);
+                    model.push(ticket, None);
                     admitted += 1;
                     payload += 1;
                 }
-                // begin: must dispatch the FIFO head of the best lane.
+                // begin: must dispatch the FIFO head.
                 2 => match q.begin(now) {
                     Some(entry) => {
-                        let (priority, ticket) =
+                        let ticket =
                             model.expected_head().expect("queue non-empty implies model non-empty");
-                        prop_assert_eq!(entry.ticket, ticket, "begin broke FIFO-per-priority");
-                        prop_assert_eq!(entry.priority, priority);
+                        prop_assert_eq!(entry.ticket, ticket, "begin broke FIFO order");
                         resolved += 1;
                         in_service += 1;
                     }
@@ -162,15 +149,15 @@ proptest! {
 
     /// Tickets are unique across offer and force — the double-dispatch guard.
     #[test]
-    fn tickets_never_repeat(ops in proptest::collection::vec(any::<(u8, u8)>(), 1..80)) {
+    fn tickets_never_repeat(ops in proptest::collection::vec(any::<u8>(), 1..80)) {
         let mut q: RunQueue<()> = RunQueue::new(PuId(0), QueuePolicy { depth: usize::MAX, tokens: 1 });
         let mut seen = std::collections::BTreeSet::new();
         let now = SimTime::ZERO;
-        for (op, prio) in ops {
+        for op in ops {
             let ticket = if op % 2 == 0 {
-                q.offer(now, prio, None, ()).expect("unbounded queue admits")
+                q.offer(now, None, ()).expect("unbounded queue admits")
             } else {
-                q.force(now, prio, None, ())
+                q.force(now, None, ())
             };
             prop_assert!(seen.insert(ticket), "ticket {:?} issued twice", ticket);
         }

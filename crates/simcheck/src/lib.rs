@@ -76,11 +76,5 @@ pub use oracle::{check_snapshot, ClusterOracle, FifoOrderTracker, OracleConfig};
 pub use policy::{ReplayPolicy, ShuffledPolicy};
 pub use state_oracle::{check_state, StateHistory, StateOracle};
 
-use hetsim::engine::SchedulePolicy;
 // Re-exported so scenario code can name engine types through one crate.
 pub use hetsim::engine::{ChoicePoint, SimError};
-
-/// Convenience: the policy used for trial replays, as a boxed trait object.
-pub fn boxed_replay(choices: Vec<u32>) -> Box<dyn SchedulePolicy> {
-    Box::new(ReplayPolicy::new(choices))
-}

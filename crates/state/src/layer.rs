@@ -351,12 +351,6 @@ impl StateLayer {
         st.regions.get(name).map(|r| r.master_version())
     }
 
-    /// The committed version cached by `pu`'s replica.
-    pub fn replica_version(&self, pu: PuId, name: &str) -> Option<u64> {
-        let st = self.inner.state.lock();
-        st.regions.get(name).and_then(|r| r.replicas.get(&pu)).map(|r| r.version)
-    }
-
     /// Test-only: flips byte `offset` of `pu`'s committed cache of `name`
     /// and leaves its version alone — divergent pages under a pinned
     /// version, for the coherence oracle to catch. Not part of the

@@ -184,26 +184,15 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-static ENGINE_INSTANTS: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables per-event engine-lane instants ("wake"/"dispatch").
-///
-/// The engine fires one such instant per scheduler event; on event-storm
-/// workloads the formatting alone dominates. Turning them off keeps every
-/// other lane, counter and histogram recording while the engine hot loop
-/// skips even building the strings. Default: on.
-pub fn set_engine_instants(on: bool) {
-    ENGINE_INSTANTS.store(on, Ordering::SeqCst);
-}
-
-/// True when a recorder is enabled *and* per-event engine instants are on.
+/// True when a recorder is enabled, so the engine records its per-event
+/// lane instants ("wake"/"dispatch").
 ///
 /// The engine checks this before formatting "wake proc#N" / "dispatch"
-/// strings, so the disabled path is two relaxed atomic loads and zero
+/// strings, so the disabled path is one relaxed atomic load and zero
 /// allocation.
 #[inline]
 pub fn engine_instants() -> bool {
-    ENABLED.load(Ordering::Relaxed) && ENGINE_INSTANTS.load(Ordering::Relaxed)
+    enabled()
 }
 
 /// Runs `f` against the global recorder, or does nothing when disabled.
@@ -270,12 +259,6 @@ pub fn counter_add_tenant(base: &str, tenant: u32, delta: u64) {
 #[inline]
 pub fn observe_ns_tenant(base: &str, tenant: u32, ns: u64) {
     with(|r| r.metrics().observe_ns_tenant(base, tenant, ns));
-}
-
-/// Appends a structured note to the global flight recorder ring.
-#[inline]
-pub fn flight_note(pu: u16, t_ns: u64, msg: &str) {
-    with(|r| r.flight().note(t_ns, pu, msg.to_owned()));
 }
 
 /// Dumps the flight-recorder ring, if a recorder is installed.

@@ -3,7 +3,7 @@
 //! # molecule-tenancy — tenants as first-class citizens
 //!
 //! The paper's capability system is global: any function can be granted any
-//! capability, and the run queues arbitrate purely by priority lane, so one
+//! capability, and plain FIFO run queues arbitrate by arrival alone, so one
 //! hot customer can starve everyone sharing the rack. This crate supplies
 //! the tenant primitives the rest of the stack threads through:
 //!

@@ -16,9 +16,8 @@
 //!   instead of letting it bank credit.
 //!
 //! The structure is a pure deterministic container (ties break on the
-//! smaller [`TenantId`]) — `molecule-sched`'s `RunQueue` embeds one per
-//! priority lane, and the property tests in `tests/properties.rs` drive it
-//! directly.
+//! smaller [`TenantId`]) — `molecule-sched`'s `RunQueue` embeds one, and
+//! the property tests in `tests/properties.rs` drive it directly.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -156,11 +156,6 @@ impl RuncRuntime {
         }
     }
 
-    /// Number of pre-initialized containers available.
-    pub fn preinit_available(&self) -> usize {
-        self.inner.state.lock().preinit_pool.len()
-    }
-
     /// Boots a template container for `lang`: a full container with a booted,
     /// *multi-threaded* language runtime, ready to be cforked. Returns the
     /// template's sandbox id.

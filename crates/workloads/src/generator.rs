@@ -46,12 +46,6 @@ impl PoissonArrivals {
     }
 }
 
-/// A closed-loop schedule: `n` back-to-back requests (the artifact's
-/// benchmarking mode).
-pub fn closed_loop(n: usize) -> Vec<usize> {
-    (0..n).collect()
-}
-
 /// The first `n` instants of a seeded open-loop Poisson process at
 /// `rate_per_sec`. Deterministic per `(rate, n, seed)`.
 pub fn open_loop_arrivals(rate_per_sec: f64, n: usize, seed: u64) -> Vec<SimTime> {

@@ -21,26 +21,11 @@ use hetsim::engine::ProcCtx;
 use hetsim::pu::PuKind;
 use hetsim::time::SimDuration;
 use hetsim::topology::Machine;
-use molecule_core::function::FunctionDef;
 use molecule_state::{RegionSpec, StateLayer};
 use vsandbox::runc::RuncRuntime;
 use vsandbox::spec::{LangRuntime, SandboxConfig, SandboxId};
 use vsandbox::OciRuntime;
 use xpu_shim::cluster::{ShimCluster, ShimConfig};
-
-/// The shared-weights inference function for gateway-driven tests: declares
-/// the `weights` region so the scheduler's state-locality term steers it
-/// onto PUs already hosting the model.
-pub fn shared_weights_service() -> FunctionDef {
-    FunctionDef::builder("shared-weights-infer", LangRuntime::Python)
-        .profiles(&[PuKind::Cpu, PuKind::Dpu])
-        .memory_mib(256)
-        .exec_ms(4.0)
-        .init_ms(2.0)
-        .cfork_first_run_ms(1.0)
-        .region("weights")
-        .build()
-}
 
 /// Memory footprint of an N-sandbox inference fleet, shared weights region
 /// vs a private copy of the weights per sandbox.

@@ -288,11 +288,6 @@ impl CapTable {
         Ok(())
     }
 
-    /// The kind of an object, if it exists.
-    pub fn object_kind(&self, obj: ObjId) -> Option<ObjKind> {
-        self.objects.get(&obj).copied()
-    }
-
     /// The permission `pid` holds on `obj`.
     pub fn perm(&self, pid: XpuPid, obj: ObjId) -> Perm {
         self.groups.get(&pid).map_or(Perm::NONE, |g| g.perm(obj))

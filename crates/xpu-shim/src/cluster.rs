@@ -1347,17 +1347,6 @@ impl ShimCluster {
         Ok(bytes)
     }
 
-    /// True while the region exists (registered and neither unregistered nor
-    /// reclaimed).
-    pub fn region_exists(&self, uuid: &GlobalUuid) -> bool {
-        self.inner.state.lock().regions.contains_key(uuid)
-    }
-
-    /// The guard object and master process of a live region.
-    pub fn region_entry(&self, uuid: &GlobalUuid) -> Option<(ObjId, XpuPid)> {
-        self.inner.state.lock().regions.get(uuid).map(|e| (e.obj, e.owner))
-    }
-
     pub(crate) fn xspawn<F>(
         &self,
         ctx: &mut ProcCtx,
