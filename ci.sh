@@ -106,7 +106,7 @@ git diff --exit-code -- 'BENCH_*.json'
 untracked=$(git status --porcelain -- 'BENCH_*.json' | grep '^??' || true)
 [ -z "$untracked" ] || { echo "untracked BENCH files: $untracked" >&2; exit 1; }
 
-# Flake detector: the whole workspace suite — engine hand-offs, density,
+# Flake detector: the whole workspace suite — engine fiber switches, density,
 # simcheck exploration and the state/rack coherence suites included — twice
 # under different host-thread counts. Virtual time must be immune to host
 # parallelism — any diff between the two outcome lists is a real

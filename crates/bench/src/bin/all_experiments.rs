@@ -1,6 +1,8 @@
 //! Regenerates every table and figure of the paper in one run
 //! (the equivalent of the artifact's `func_bench.sh` + friends).
 
+#![forbid(unsafe_code)]
+
 fn main() {
     println!("Molecule reproduction: regenerating all tables and figures\n");
     molecule_bench::fig02::print();

@@ -1,5 +1,7 @@
 //! Regenerates the paper data backed by `molecule_bench::fig14`.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     molecule_bench::fig14::print();
 }

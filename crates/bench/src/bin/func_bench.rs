@@ -2,6 +2,8 @@
 //! workload through the gateway under both systems and prints the same
 //! formatted blocks the Molecule artifact produces (appendix A.6.1).
 
+#![forbid(unsafe_code)]
+
 use hetsim::pu::PuId;
 use hetsim::topology::Machine;
 use molecule_bench::run_sim;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `molecule-bench` — harnesses that regenerate every table and figure of
 //! the Molecule paper's evaluation (§6).

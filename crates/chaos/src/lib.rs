@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `molecule-chaos` — deterministic fault injection for the Molecule
 //! reproduction.

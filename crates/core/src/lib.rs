@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `molecule-core` — the Molecule serverless runtime for heterogeneous
 //! computers (reproduction of *Serverless Computing on Heterogeneous

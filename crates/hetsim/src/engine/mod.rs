@@ -1,13 +1,14 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! Simulated processes (the Molecule daemons, executors, shims and function
-//! instances) are written in straight-line style: each is an OS thread, and
-//! **exactly one** thread runs at a time, SimPy-style. Because one process
-//! runs between engine steps and ties are broken by a monotone sequence
-//! number, every run of the same program is bit-for-bit identical.
+//! instances) are written in straight-line style: each runs on a fiber of
+//! its own — a user-space stack — and **exactly one** runs at a time,
+//! SimPy-style. Because one process runs between engine steps and ties are
+//! broken by a monotone sequence number, every run of the same program is
+//! bit-for-bit identical.
 //!
-//! Virtual time only advances through the event queue; real thread switches
-//! cost wall-clock time but zero virtual time.
+//! Virtual time only advances through the event queue; switching fibers
+//! costs wall-clock time but zero virtual time.
 //!
 //! # Event core
 //!
@@ -17,13 +18,13 @@
 //! `SIMCHECK_REPLAY` blob. Events a policy defers are re-inserted under
 //! their original keys.
 //!
-//! # Baton dispatch
+//! # Fiber dispatch
 //!
-//! A process that blocks or finishes pops the next event on its own thread:
-//! a scheduled closure runs inline, its own resume returns at once, and
-//! another process's resume wakes that thread and parks this one. With a
-//! step observer or a [`SchedulePolicy`] installed, yielding processes hand
-//! the baton back to [`Simulation::run`], which dispatches every event.
+//! [`Simulation::run`] is the only dispatcher. It pops the next event, runs
+//! a scheduled closure inline, or switches into the resumed process's fiber
+//! until that process blocks or finishes, then runs the step observer, if
+//! one is installed. Fibers switch only on the thread that created the
+//! simulation, so [`Simulation`] is not `Send`.
 //!
 //! # Examples
 //!
@@ -43,6 +44,8 @@
 //! ```
 
 mod channel;
+#[allow(unsafe_code)]
+mod fiber;
 mod process;
 mod queue;
 mod schedule;
@@ -54,55 +57,48 @@ pub use schedule::{ChoicePoint, FifoSeqPolicy, SchedulePolicy};
 pub use semaphore::{SemPermit, SimSemaphore};
 
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
+use std::marker::PhantomData;
 use std::sync::Arc;
-use std::thread::{self, Thread};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::time::{SimDuration, SimTime};
-use process::Parker;
+use fiber::{Fiber, Stack};
 use queue::EventQueue;
 
-/// Why a blocked process is being resumed. The discriminants are the
-/// non-zero words a [`Parker`] carries.
+/// Usable bytes of a process's stack: std's default thread stack.
+const STACK_SIZE: usize = 2 << 20;
+
+/// Why a blocked process is being resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub(crate) enum ResumeReason {
     /// First activation of the process.
-    Start = 1,
+    Start,
     /// A waited-for condition became true (message arrived, timer fired).
-    Woken = 2,
+    Woken,
     /// A `recv_timeout` deadline elapsed before the condition became true.
-    Timeout = 3,
+    Timeout,
     /// The simulation is being torn down; the process should exit silently.
-    Cancel = 4,
-}
-
-pub(crate) enum YieldKind {
-    Blocked,
-    Finished,
-    Panicked(String),
+    Cancel,
 }
 
 pub(crate) enum EventAction {
     /// Resume process `proc` if it is still blocked with wait generation `gen`.
     Resume { proc: ProcId, gen: u64, reason: ResumeReason },
-    /// Run a closure on the thread that holds the baton (no engine lock held).
+    /// Run a closure on the dispatcher's stack (no engine lock held).
     Call(Box<dyn FnOnce() + Send>),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProcState {
-    Blocked,
-    Running,
-}
+/// A spawned process before its first resume: its stack and its body.
+type Start = (Stack, Box<dyn FnOnce() + Send>);
 
+/// A live process. Between engine steps every live process is suspended:
+/// not yet started, or blocked in `yield_and_wait`.
 pub(crate) struct ProcSlot {
     pub name: String,
-    pub parker: Arc<Parker>,
     pub wait_gen: u64,
-    pub state: ProcState,
+    /// `Some` until the first resume turns it into the process's fiber.
+    start: Option<Start>,
 }
 
 /// Generational slab of process slots, indexed directly by [`ProcId`]
@@ -155,24 +151,22 @@ impl ProcSlab {
     }
 
     /// Live slots in index order (deterministic).
-    pub fn iter(&self) -> impl Iterator<Item = &ProcSlot> {
-        self.entries.iter().filter_map(|e| e.slot.as_ref())
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut ProcSlot> {
+        self.entries.iter_mut().filter_map(|e| e.slot.as_mut())
     }
 }
 
-/// A run's result, or the payload of a scheduled closure's panic.
-type Outcome = thread::Result<Result<RunReport, SimError>>;
-
-/// What the baton holder does next, as prepared by [`EngineState::next`].
+/// What the dispatcher does next, as prepared by [`EngineState::next`].
 enum Step {
     /// The run is over (drained, deadlocked, out of budget, spawn failed).
     End(Result<RunReport, SimError>),
     Call(Box<dyn FnOnce() + Send>),
-    /// `proc` is now running; `dispatch` is its engine-lane instant.
+    /// Resume `proc`, first turning `start` into its fiber if it has one;
+    /// `dispatch` is its engine-lane instant.
     Resume {
         proc: ProcId,
         reason: ResumeReason,
-        parker: Arc<Parker>,
+        start: Option<Start>,
         dispatch: Option<(SimTime, String)>,
     },
 }
@@ -188,12 +182,8 @@ pub(crate) struct EngineState {
     policy: Option<Box<dyn SchedulePolicy>>,
     choice_log: Vec<ChoicePoint>,
     spawn_error: Option<SimError>,
-    /// A step observer or a policy is installed: yields go to the driver.
-    stepped: bool,
-    /// The thread blocked in [`Simulation::run`].
-    driver: Option<Thread>,
-    baton_home: bool,
-    outcome: Option<Outcome>,
+    /// Set by a process that panicked, for the dispatcher to return.
+    panicked: Option<SimError>,
 }
 
 impl EngineState {
@@ -208,10 +198,9 @@ impl EngineState {
         slot.wait_gen
     }
 
-    /// Pops the next event and prepares it, in both dispatch modes: event
-    /// budget, `(time, seq)` pop, policy batch and [`ChoicePoint`],
-    /// `events_fired`, trace entry and the stale-resume check. A returned
-    /// resume has already marked its process running.
+    /// Pops the next event and prepares it: event budget, `(time, seq)` pop,
+    /// policy batch and [`ChoicePoint`], `events_fired`, trace entry and the
+    /// stale-resume check.
     fn next(&mut self) -> Step {
         if let Some(err) = self.spawn_error.take() {
             return Step::End(Err(err));
@@ -226,8 +215,7 @@ impl EngineState {
                     let report = RunReport { end_time: self.now, events_fired: self.fired, trace };
                     return Step::End(Ok(report));
                 }
-                let blocked = self.procs.iter().filter(|p| p.state == ProcState::Blocked);
-                let blocked = blocked.map(|p| p.name.clone()).collect();
+                let blocked = self.procs.iter_mut().map(|p| p.name.clone()).collect();
                 return Step::End(Err(SimError::Deadlock { blocked }));
             };
             let t = SimTime::from_nanos(t_ns);
@@ -266,14 +254,14 @@ impl EngineState {
                 EventAction::Resume { proc, gen, reason } => (proc, gen, reason),
             };
             // Skip a stale wake-up (e.g. a raced timeout) or a finished process.
-            let waiting = |s: &&mut ProcSlot| s.state == ProcState::Blocked && s.wait_gen == gen;
-            let Some(slot) = self.procs.get_mut(proc).filter(waiting) else { continue };
-            slot.state = ProcState::Running;
+            let Some(slot) = self.procs.get_mut(proc).filter(|s| s.wait_gen == gen) else {
+                continue;
+            };
             if let Some(trace) = self.trace.as_mut() {
                 trace.push(format!("{t} {}", slot.name));
             }
             let dispatch = telemetry::engine_instants().then(|| (t, slot.name.clone()));
-            return Step::Resume { proc, reason, parker: Arc::clone(&slot.parker), dispatch };
+            return Step::Resume { proc, reason, start: slot.start.take(), dispatch };
         }
     }
 }
@@ -352,29 +340,33 @@ impl EngineShared {
         wake_instant(at, proc);
     }
 
-    /// Schedule a closure to run on the baton holder's thread at `at`.
+    /// Schedule a closure to run on the dispatcher's stack at `at`.
     pub(crate) fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce() + Send>) {
         let mut st = self.state.lock();
         let at = at.max(st.now);
         st.schedule(at, EventAction::Call(f));
     }
 
-    fn register_proc(&self, name: &str, parker: Arc<Parker>) -> ProcId {
+    /// Registers a process and schedules its start; [`set_start`] gives it
+    /// the stack and body that start runs.
+    ///
+    /// [`set_start`]: Self::set_start
+    fn register_proc(&self, name: &str) -> ProcId {
         let mut st = self.state.lock();
-        let id = st.procs.insert(ProcSlot {
-            name: name.to_owned(),
-            parker,
-            wait_gen: 0,
-            state: ProcState::Blocked,
-        });
+        let id = st.procs.insert(ProcSlot { name: name.to_owned(), wait_gen: 0, start: None });
         st.live += 1;
         let now = st.now;
         st.schedule(now, EventAction::Resume { proc: id, gen: 0, reason: ResumeReason::Start });
         id
     }
 
-    /// Unregisters a process whose OS thread could not be started and
-    /// records [`SimError::SpawnFailed`] for [`Simulation::run`] to return.
+    fn set_start(&self, proc: ProcId, stack: Stack, body: Box<dyn FnOnce() + Send>) {
+        let mut st = self.state.lock();
+        st.procs.get_mut(proc).expect("set_start on unknown proc").start = Some((stack, body));
+    }
+
+    /// Unregisters a process whose stack could not be mapped and records
+    /// [`SimError::SpawnFailed`] for [`Simulation::run`] to return.
     pub(crate) fn spawn_failed(&self, proc: ProcId, message: String) {
         let mut st = self.state.lock();
         if let Some(slot) = st.procs.remove(proc) {
@@ -383,102 +375,20 @@ impl EngineShared {
         }
     }
 
-    /// Records that process `me` blocked, finished or panicked, then gives
-    /// the baton back to the driver (stepped mode) or dispatches on this
-    /// thread. Returns the resume reason if the next event resumes `me`.
-    pub(crate) fn yield_baton(&self, me: ProcId, kind: YieldKind) -> Option<ResumeReason> {
+    /// Unregisters process `me`, which finished, or panicked with
+    /// `panicked`.
+    pub(crate) fn retire(&self, me: ProcId, panicked: Option<String>) {
         let mut st = self.state.lock();
-        match kind {
-            YieldKind::Blocked => {
-                if let Some(slot) = st.procs.get_mut(me) {
-                    slot.state = ProcState::Blocked;
-                }
-            }
-            YieldKind::Finished => {
-                st.procs.remove(me);
-                st.live -= 1;
-            }
-            YieldKind::Panicked(message) => {
-                let name =
-                    st.procs.remove(me).map_or_else(|| "<unknown>".to_owned(), |slot| slot.name);
-                st.live -= 1;
-                drop(st);
-                // Surface the last recorded events alongside the crash so
-                // failures are debuggable post-mortem.
-                if let Some(dump) = telemetry::flight_dump() {
-                    eprintln!("process '{name}' panicked; {dump}");
-                }
-                self.hand_back(Some(Ok(Err(SimError::ProcessPanicked { name, message }))));
-                return None;
-            }
-        }
-        if st.stepped {
-            drop(st);
-            self.hand_back(None);
-            return None;
-        }
-        self.pass_baton(Some(me), st)
-    }
-
-    /// Dispatches events on the calling thread until one resumes a process.
-    /// Returns its reason if that process is `me`; otherwise posts the
-    /// reason to its parker (or, if the run ended, leaves the outcome for
-    /// the driver) and returns `None`, and the caller must park.
-    fn pass_baton<'a>(
-        &'a self,
-        me: Option<ProcId>,
-        mut st: MutexGuard<'a, EngineState>,
-    ) -> Option<ResumeReason> {
-        let outcome = loop {
-            let step = st.next();
-            drop(st);
-            match step {
-                Step::Call(f) => {
-                    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                        break Err(payload);
-                    }
-                }
-                Step::Resume { proc, reason, parker, dispatch } => {
-                    announce(dispatch);
-                    if me == Some(proc) {
-                        return Some(reason);
-                    }
-                    parker.post(reason);
-                    return None;
-                }
-                Step::End(result) => break Ok(result),
-            }
-            st = self.state.lock();
-        };
-        self.hand_back(Some(outcome));
-        None
-    }
-
-    /// Gives the baton back to the thread in [`Simulation::run`], with the
-    /// run's outcome if it ended.
-    fn hand_back(&self, outcome: Option<Outcome>) {
-        let driver = {
-            let mut st = self.state.lock();
-            st.outcome = outcome;
-            st.baton_home = true;
-            st.driver.clone()
-        };
-        // The driver ends the run itself when no process ever takes the baton.
-        if let Some(driver) = driver.filter(|d| d.id() != thread::current().id()) {
-            driver.unpark();
-        }
-    }
-
-    /// Parks the driver until the baton comes back; returns the run's
-    /// outcome if it ended.
-    fn wait_baton(&self) -> Option<Outcome> {
-        loop {
-            let mut st = self.state.lock();
-            if std::mem::take(&mut st.baton_home) {
-                return st.outcome.take();
-            }
-            drop(st);
-            thread::park();
+        let slot = st.procs.remove(me);
+        st.live -= 1;
+        let Some(message) = panicked else { return };
+        let name = slot.map_or_else(|| "<unknown>".to_owned(), |slot| slot.name);
+        st.panicked = Some(SimError::ProcessPanicked { name: name.clone(), message });
+        drop(st);
+        // Surface the last recorded events alongside the crash so failures
+        // are debuggable post-mortem.
+        if let Some(dump) = telemetry::flight_dump() {
+            eprintln!("process '{name}' panicked; {dump}");
         }
     }
 }
@@ -503,8 +413,8 @@ pub enum SimError {
         /// The budget that was exceeded.
         limit: u64,
     },
-    /// The OS refused to start a simulated process's thread; the process
-    /// was unregistered, so joining it returns at once.
+    /// The OS refused to map a simulated process's stack; the process was
+    /// unregistered, so joining it returns at once.
     SpawnFailed {
         /// Name of the process that never started.
         name: String,
@@ -551,6 +461,10 @@ pub struct RunReport {
 pub struct Simulation {
     shared: Arc<EngineShared>,
     step_observer: Option<Box<dyn FnMut()>>,
+    /// Fibers of started processes, indexed by [`ProcId`] slab index.
+    fibers: Vec<Option<Fiber>>,
+    /// Fibers switch only on the thread that created them.
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Default for Simulation {
@@ -575,13 +489,12 @@ impl Simulation {
                     policy: None,
                     choice_log: Vec::new(),
                     spawn_error: None,
-                    stepped: false,
-                    driver: None,
-                    baton_home: false,
-                    outcome: None,
+                    panicked: None,
                 }),
             }),
             step_observer: None,
+            fibers: Vec::new(),
+            _not_send: PhantomData,
         }
     }
 
@@ -632,7 +545,7 @@ impl Simulation {
     ///
     /// The returned handle exposes the process result after it finishes (see
     /// [`ProcHandle::take_result`]) and can be joined from other processes.
-    /// If the OS cannot start the process's thread, the next
+    /// If the OS cannot map the process's stack, the next
     /// [`run`](Self::run) returns [`SimError::SpawnFailed`].
     pub fn spawn<T, F>(&self, name: &str, f: F) -> ProcHandle<T>
     where
@@ -640,7 +553,7 @@ impl Simulation {
         F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
     {
         let shared = Arc::clone(&self.shared);
-        process::spawn_with(thread::Builder::new(), shared, name, None, telemetry::ENGINE_LANE, f)
+        process::spawn_with(shared, name, None, telemetry::ENGINE_LANE, STACK_SIZE, f)
     }
 
     /// Runs the simulation until the event queue drains.
@@ -650,41 +563,36 @@ impl Simulation {
     /// Returns [`SimError::Deadlock`] if processes remain blocked with no
     /// pending events, [`SimError::ProcessPanicked`] if a process panics,
     /// [`SimError::EventLimitExceeded`] if the event budget is exhausted and
-    /// [`SimError::SpawnFailed`] if a process thread could not be started.
+    /// [`SimError::SpawnFailed`] if a process stack could not be mapped.
     ///
     /// # Panics
     ///
     /// A panic inside a scheduled closure unwinds out of `run` with its
     /// original payload.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        let mut st = self.shared.state.lock();
-        st.driver = Some(thread::current());
-        st.stepped = self.step_observer.is_some() || st.policy.is_some();
-        let outcome = if st.stepped {
-            drop(st);
-            self.run_stepped()
-        } else {
-            self.shared.pass_baton(None, st);
-            self.shared.wait_baton().unwrap_or_else(|| unreachable!("baton came home mid-run"))
-        };
-        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
-    }
-
-    /// The driver-stepped loop: every event is dispatched from this thread,
-    /// and the step observer runs after each one.
-    fn run_stepped(&mut self) -> Outcome {
         loop {
             let step = self.shared.state.lock().next();
             match step {
-                Step::End(result) => return Ok(result),
+                Step::End(result) => return result,
                 Step::Call(f) => f(),
-                Step::Resume { reason, parker, dispatch, .. } => {
+                Step::Resume { proc, reason, start, dispatch } => {
                     announce(dispatch);
-                    parker.post(reason);
-                    if let Some(outcome) = self.shared.wait_baton() {
-                        // (step observer intentionally skipped: the run is
-                        // aborting to report a panic.)
-                        return outcome;
+                    let index = proc.index() as usize;
+                    if let Some((stack, body)) = start {
+                        if index >= self.fibers.len() {
+                            self.fibers.resize_with(index + 1, || None);
+                        }
+                        debug_assert!(self.fibers[index].is_none(), "slab index still has a fiber");
+                        self.fibers[index] = Some(Fiber::new(stack, body));
+                    }
+                    let fiber = self.fibers[index].as_mut().expect("a started process has a fiber");
+                    if fiber.resume(reason) {
+                        self.fibers[index] = None;
+                        // The step observer is skipped: the run ends to report
+                        // the panic.
+                        if let Some(err) = self.shared.state.lock().panicked.take() {
+                            return Err(err);
+                        }
                     }
                 }
             }
@@ -697,16 +605,21 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Wake every still-blocked process with a cancellation so its thread
-        // exits instead of leaking, parked forever. A process that blocks
-        // again while unwinding hands the baton to no driver and stays
-        // parked, so nothing dispatches after the simulation is gone.
-        let mut st = self.shared.state.lock();
-        st.stepped = true;
-        st.driver = None;
-        for slot in st.procs.iter() {
-            if slot.state == ProcState::Blocked {
-                slot.parker.post(ResumeReason::Cancel);
+        // Resume every started process with a cancellation, so it unwinds
+        // and its fiber finishes, and drop every unstarted process's body,
+        // until neither is left: an unwinding process may spawn. A process
+        // that swallows the cancellation and blocks again keeps its stack
+        // (see `Fiber`'s drop).
+        loop {
+            let unstarted: Vec<Start> =
+                self.shared.state.lock().procs.iter_mut().filter_map(|p| p.start.take()).collect();
+            let started: Vec<Fiber> = self.fibers.drain(..).flatten().collect();
+            if unstarted.is_empty() && started.is_empty() {
+                return;
+            }
+            drop(unstarted);
+            for mut fiber in started {
+                fiber.resume(ResumeReason::Cancel);
             }
         }
     }
@@ -725,6 +638,8 @@ impl fmt::Debug for Simulation {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+
     use super::*;
     use crate::time::SimDuration;
 
@@ -966,6 +881,48 @@ mod tests {
     }
 
     #[test]
+    fn processes_get_thread_sized_stacks_and_unmap_them_when_done() {
+        /// Recurses until the stack is 1 MiB deeper than `top`.
+        fn dive(top: usize) -> usize {
+            let buf = std::hint::black_box([0u8; 512]);
+            let depth = top - buf.as_ptr() as usize;
+            if depth >= 1 << 20 {
+                return depth;
+            }
+            std::hint::black_box(dive(top)) + usize::from(buf[0])
+        }
+        let mut sim = Simulation::new();
+        // A process has as much stack as a std thread's default 2 MiB.
+        let deep = sim.spawn("deep", |_ctx| {
+            let top = std::hint::black_box(0u8);
+            dive(std::ptr::from_ref(&top) as usize)
+        });
+        sim.spawn("spawner", |ctx| {
+            for _ in 0..100 {
+                let children: Vec<_> = (0..100)
+                    .map(|i| ctx.spawn("child", move |ctx| ctx.sleep(SimDuration::from_nanos(i))))
+                    .collect();
+                for child in &children {
+                    child.join(ctx);
+                }
+            }
+        });
+        sim.run().unwrap();
+        assert!(deep.take_result().unwrap() >= 1 << 20);
+        assert_eq!(fiber::mapped_stacks(), 0, "10k finished processes left stacks mapped");
+
+        // Blocked and never-started processes give theirs back on drop.
+        let mut sim = Simulation::new();
+        let (tx, rx) = sim.channel::<()>();
+        sim.spawn("blocked", move |ctx| rx.recv(ctx));
+        sim.run().unwrap_err();
+        sim.spawn("unstarted", move |_ctx| drop(tx));
+        assert_eq!(fiber::mapped_stacks(), 2);
+        drop(sim);
+        assert_eq!(fiber::mapped_stacks(), 0);
+    }
+
+    #[test]
     fn a_panicking_call_unwinds_out_of_run_with_its_payload() {
         #[derive(Debug, PartialEq)]
         struct Boom(u32);
@@ -974,8 +931,7 @@ mod tests {
             if policy {
                 sim.set_schedule_policy(Box::new(FifoSeqPolicy));
             }
-            // The closure fires while the sleeper is blocked, so without a
-            // policy it runs on the sleeper's thread, which holds the baton.
+            // The closure fires while the sleeper's fiber is suspended.
             sim.spawn("sleeper", |ctx| ctx.sleep(SimDuration::from_micros(5)));
             sim.shared.schedule_call(
                 SimTime::from_nanos(2_000),

@@ -3,14 +3,14 @@
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
+use std::sync::Arc;
+use std::thread;
 
 use parking_lot::Mutex;
 use telemetry::SpanContext;
 
-use super::{EngineShared, ResumeReason, SimReceiver, SimSender, YieldKind};
+use super::fiber::{self, Stack};
+use super::{EngineShared, ResumeReason, SimReceiver, SimSender, STACK_SIZE};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process, unique within one [`Simulation`].
@@ -54,38 +54,6 @@ impl fmt::Display for ProcId {
 /// Sentinel panic payload used to unwind a simulated process on teardown.
 struct Cancelled;
 
-/// A process thread's one-slot wake-up mailbox: the waker stores the
-/// [`ResumeReason`], then unparks the thread. A process is resumed at most
-/// once per block, so the slot never holds two reasons.
-#[derive(Default)]
-pub(crate) struct Parker {
-    /// 0 when empty, else a `ResumeReason` discriminant. `post` stores it
-    /// with Release and `wait` takes it with Acquire, so everything the
-    /// waker did happens before the woken thread runs.
-    word: AtomicU8,
-    /// Set by the spawner before any resume can be dispatched.
-    thread: OnceLock<Thread>,
-}
-
-impl Parker {
-    pub(crate) fn post(&self, reason: ResumeReason) {
-        self.word.store(reason as u8, Ordering::Release);
-        if let Some(thread) = self.thread.get() {
-            thread.unpark();
-        }
-    }
-
-    fn wait(&self) -> ResumeReason {
-        use ResumeReason::*;
-        loop {
-            match self.word.swap(0, Ordering::Acquire) {
-                0 => thread::park(),
-                word => return [Start, Woken, Timeout, Cancel][usize::from(word) - 1],
-            }
-        }
-    }
-}
-
 /// Execution context handed to every simulated process.
 ///
 /// All blocking operations (sleeping, channel receives, joins) go through
@@ -93,7 +61,6 @@ impl Parker {
 pub struct ProcCtx {
     pub(crate) shared: Arc<EngineShared>,
     pub(crate) proc: ProcId,
-    parker: Arc<Parker>,
     name: String,
     /// Ambient telemetry span context; inherited by `spawn`ed children and
     /// updated by message receives that carry a piggybacked context.
@@ -174,7 +141,7 @@ impl ProcCtx {
         F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
     {
         let (trace_ctx, lane) = (self.trace_ctx.get(), self.lane.get());
-        spawn_with(thread::Builder::new(), Arc::clone(&self.shared), name, trace_ctx, lane, f)
+        spawn_with(Arc::clone(&self.shared), name, trace_ctx, lane, STACK_SIZE, f)
     }
 
     /// Creates an unbounded simulated channel.
@@ -187,20 +154,22 @@ impl ProcCtx {
         super::SimSemaphore::from_shared(Arc::clone(&self.shared), permits)
     }
 
-    /// Blocks this process until the engine resumes it, dispatching the
-    /// events in between on this thread while it holds the baton.
+    /// Suspends this process's fiber until the engine resumes it.
     ///
     /// The caller must already have registered a wake-up (timer, channel
     /// waiter, ...) under the current wait generation.
+    ///
+    /// # Panics
+    ///
+    /// If called while the process unwinds: std counts panics per OS
+    /// thread, so a fiber suspended mid-unwind would leak that count into
+    /// every other process.
     pub(crate) fn yield_and_wait(&mut self) -> ResumeReason {
-        let reason = match self.shared.yield_baton(self.proc, YieldKind::Blocked) {
-            Some(reason) => reason,
-            None => self.parker.wait(),
-        };
-        if reason == ResumeReason::Cancel {
-            panic::panic_any(Cancelled);
+        assert!(!thread::panicking(), "simulated process '{}' blocked while unwinding", self.name);
+        match fiber::suspend() {
+            ResumeReason::Cancel => panic::resume_unwind(Box::new(Cancelled)),
+            reason => reason,
         }
-        reason
     }
 
     /// Bumps and returns this process's wait generation.
@@ -259,49 +228,41 @@ impl<T: Send + 'static> ProcHandle<T> {
     }
 }
 
-/// Spawns a process on a thread from `builder` (which this names).
+/// Spawns a process whose fiber gets `stack_size` usable stack bytes.
 pub(crate) fn spawn_with<T, F>(
-    builder: thread::Builder,
     shared: Arc<EngineShared>,
     name: &str,
     trace_ctx: Option<SpanContext>,
     lane: u16,
+    stack_size: usize,
     f: F,
 ) -> ProcHandle<T>
 where
     T: Send + 'static,
     F: FnOnce(&mut ProcCtx) -> T + Send + 'static,
 {
-    let parker = Arc::new(Parker::default());
-    let id = shared.register_proc(name, Arc::clone(&parker));
+    let id = shared.register_proc(name);
     let result = Arc::new(Mutex::new(None));
     let (done_tx, done_rx) = super::channel::channel(Arc::clone(&shared));
 
-    let thread_result = Arc::clone(&result);
+    let body_result = Arc::clone(&result);
     let mut ctx = ProcCtx {
         shared: Arc::clone(&shared),
         proc: id,
-        parker: Arc::clone(&parker),
         name: name.to_owned(),
         trace_ctx: Cell::new(trace_ctx),
         lane: Cell::new(lane),
     };
     let body = move || {
-        // Wait for the first activation.
-        match ctx.parker.wait() {
-            ResumeReason::Start => {}
-            ResumeReason::Cancel => return,
-            other => unreachable!("first resume must be Start, got {other:?}"),
-        }
-        let kind = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+        let panicked = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
             Ok(value) => {
-                *thread_result.lock() = Some(value);
+                *body_result.lock() = Some(value);
                 let _ = done_tx.send(());
-                YieldKind::Finished
+                None
             }
             // Teardown: exit silently.
             Err(payload) if payload.is::<Cancelled>() => return,
-            Err(payload) => YieldKind::Panicked(
+            Err(payload) => Some(
                 payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())
@@ -310,15 +271,12 @@ where
             ),
         };
         drop(done_tx);
-        let next = ctx.shared.yield_baton(id, kind);
-        debug_assert!(next.is_none(), "a finished process was resumed");
+        ctx.shared.retire(id, panicked);
     };
-    match builder.name(format!("sim-{name}")).spawn(body) {
-        Ok(thread) => {
-            let _ = parker.thread.set(thread.thread().clone());
-        }
-        // The failed spawn dropped `body` and with it the process's
-        // completion sender, so joining the handle returns at once.
+    match Stack::new(stack_size) {
+        Ok(stack) => shared.set_start(id, stack, Box::new(body)),
+        // Dropping `body` drops the process's completion sender, so joining
+        // the handle returns at once.
         Err(err) => shared.spawn_failed(id, err.to_string()),
     }
     ProcHandle { id, name: name.to_owned(), result, done_rx }
@@ -330,12 +288,11 @@ mod tests {
     use crate::engine::{SimError, Simulation};
 
     #[test]
-    fn a_thread_that_fails_to_spawn_is_a_typed_error_and_joining_it_returns() {
+    fn an_unmappable_stack_is_a_typed_error_and_joining_it_returns() {
         let mut sim = Simulation::new();
         // No OS maps a 1 EiB stack, so this spawn fails.
-        let huge = thread::Builder::new().stack_size(1 << 60);
         let shared = Arc::clone(&sim.shared);
-        let ghost = spawn_with(huge, shared, "ghost", None, telemetry::ENGINE_LANE, |_| 7u32);
+        let ghost = spawn_with(shared, "ghost", None, telemetry::ENGINE_LANE, 1 << 60, |_| 7u32);
         let joiner = sim.spawn("joiner", move |ctx| {
             ghost.join(ctx);
             (ghost.take_result(), ctx.now())

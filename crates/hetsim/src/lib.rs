@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! `hetsim` — a deterministic simulation of a *heterogeneous computer*.
 //!
@@ -9,7 +10,8 @@
 //! here, so the crate models them:
 //!
 //! * [`engine`] — a deterministic discrete-event simulation kernel with
-//!   straight-line cooperative processes and virtual-time channels;
+//!   straight-line cooperative processes, each on a user-space fiber, and
+//!   virtual-time channels;
 //! * [`pu`] + [`topology`] + [`interconnect`] — processing units (CPU, DPU,
 //!   FPGA, GPU, SmartNIC) wired by PCIe RDMA/DMA/shared-memory/network links;
 //! * [`os`] — one *local OS* per general-purpose PU (process tables, FIFOs,

@@ -1,11 +1,9 @@
 //! Teardown and re-run of the discrete-event engine: after any way a run
-//! can end, dropping the simulation unwinds every parked process thread,
-//! and a simulation that ended can run again.
+//! can end, dropping the simulation unwinds every blocked process before
+//! `drop` returns, and a simulation that ended can run again.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 use hetsim::engine::{FifoSeqPolicy, SimError, Simulation};
 use hetsim::time::{SimDuration, SimTime};
@@ -29,16 +27,11 @@ fn new_sim(policy: bool) -> Simulation {
     sim
 }
 
-/// Waits up to 10 s of real time for `count` to reach `n`.
-fn reaches(count: &AtomicUsize, n: usize) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while count.load(Ordering::SeqCst) != n {
-        if Instant::now() > deadline {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(1));
-    }
-    true
+/// Drops `sim` and checks that every process holding a [`Guard`] has
+/// unwound by the time `drop` returns.
+fn drop_unwinds_all(sim: Simulation, dropped: &AtomicUsize, policy: bool) {
+    drop(sim);
+    assert_eq!(dropped.load(Ordering::SeqCst), PROCS, "policy {policy}: processes left unwound");
 }
 
 #[test]
@@ -61,8 +54,7 @@ fn dropping_after_a_deadlock_unwinds_every_parked_process() {
             Err(SimError::Deadlock { blocked }) => assert_eq!(blocked.len(), PROCS),
             other => panic!("expected a deadlock, got {other:?}"),
         }
-        drop(sim);
-        assert!(reaches(&dropped, PROCS), "policy {policy}: {dropped:?} of {PROCS} unwound");
+        drop_unwinds_all(sim, &dropped, policy);
         drop(senders);
     }
 }
@@ -83,8 +75,7 @@ fn dropping_after_the_event_limit_unwinds_every_parked_process() {
             });
         }
         assert_eq!(sim.run(), Err(SimError::EventLimitExceeded { limit: 50 }));
-        drop(sim);
-        assert!(reaches(&dropped, PROCS), "policy {policy}: {dropped:?} of {PROCS} unwound");
+        drop_unwinds_all(sim, &dropped, policy);
     }
 }
 
@@ -116,9 +107,19 @@ fn dropping_after_a_process_panic_unwinds_every_parked_process() {
             }
             other => panic!("expected a process panic, got {other:?}"),
         }
-        drop(sim);
-        assert!(reaches(&dropped, PROCS), "policy {policy}: {dropped:?} of {PROCS} unwound");
+        drop_unwinds_all(sim, &dropped, policy);
     }
+}
+
+#[test]
+fn dropping_a_simulation_that_never_ran_drops_every_process_body() {
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let sim = new_sim(false);
+    for i in 0..PROCS {
+        let guard = Guard(Arc::clone(&dropped));
+        sim.spawn(&format!("unstarted{i}"), move |_ctx| drop(guard));
+    }
+    drop_unwinds_all(sim, &dropped, false);
 }
 
 #[test]

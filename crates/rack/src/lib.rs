@@ -16,6 +16,8 @@
 //!
 //! [`SchedGateway`]: molecule_sched::gateway::SchedGateway
 
+#![forbid(unsafe_code)]
+
 pub mod front;
 pub mod ring;
 

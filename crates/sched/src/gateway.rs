@@ -856,7 +856,7 @@ mod tests {
     use hetsim::topology::Machine;
     use molecule_core::function::{FunctionBuilder, FunctionDef};
     use molecule_core::gateway::GatewayConfig;
-    use molecule_core::runtime::{Molecule, MoleculeConfig};
+    use molecule_core::runtime::{Molecule, MoleculeConfig, StartupKind};
     use molecule_core::schedule::Scheduler;
     use vsandbox::spec::LangRuntime;
 
@@ -994,10 +994,22 @@ mod tests {
 
     #[test]
     fn queued_requests_past_deadline_are_shed_not_lost() {
-        // One token, generous queue: the head request monopolises service
-        // long enough that the tail blows its 40 ms SLO while queued.
+        // Admission prices a cold start as a cfork from a template, but this
+        // gateway scales up by cold boot (runc create and start plus a
+        // 100 ms init). One token per PU: a burst admits requests against
+        // their 40 ms SLO that then wait out the head's real cold start in
+        // the queue, and the worker sheds them.
+        let molecule = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
+        molecule.register_function(img().init_ms(100.0).slo_latency_ms(40.0).build());
+        let scale_up = StartupKind::ColdBaseline;
+        let api = ApiGateway::new(
+            molecule,
+            Scheduler::default(),
+            GatewayConfig { scale_up, ..GatewayConfig::default() },
+            Box::new(Lru::new()),
+        );
         let config = SchedConfig { cpu_tokens: 1, dpu_tokens: 1, ..SchedConfig::default() };
-        let gw = SchedGateway::new(api_with(img().slo_latency_ms(40.0).build()), config);
+        let gw = SchedGateway::new(api, config);
         let outcomes = run_with(&gw, |ctx, g| {
             let rxs: Vec<_> = (0..10)
                 .map(|_| g.submit(ctx, &"img".into(), 1024, SubmitOpts::default()))
@@ -1008,6 +1020,7 @@ mod tests {
         let st = gw.stats();
         let done = outcomes.iter().filter(|o| matches!(o, JobOutcome::Completed { .. })).count();
         let shed = outcomes.iter().filter(|o| matches!(o, JobOutcome::Shed { .. })).count();
+        assert!(shed > 0, "an admitted request must expire in the queue ({st:?})");
         assert_eq!(done as u64, st.completed);
         assert_eq!(shed as u64, st.shed);
         assert_eq!(

@@ -27,6 +27,8 @@
 //!
 //! [`ApiGateway`]: molecule_core::gateway::ApiGateway
 
+#![forbid(unsafe_code)]
+
 pub mod gateway;
 pub mod placer;
 pub mod queue;

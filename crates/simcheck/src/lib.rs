@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `molecule-simcheck` — loom/turmoil-style schedule exploration and
 //! invariant oracles over the deterministic virtual-time engine.

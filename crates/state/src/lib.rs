@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `molecule-state` — stateful serverless for the Molecule reproduction:
 //! a two-tier shared-state layer in the shape of Faasm's distributed shared

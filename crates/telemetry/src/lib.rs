@@ -43,6 +43,8 @@
 //! performs **no allocation and no locking**, and — because recording never
 //! sleeps or schedules — virtual-time results are identical either way.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod chrome;
 pub mod flight;

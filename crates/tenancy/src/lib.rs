@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # molecule-tenancy — tenants as first-class citizens
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `vsandbox` — the vectorized sandbox abstraction (paper §3.5) and its
 //! three backends.

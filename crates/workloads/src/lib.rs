@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `workloads` — the benchmark workloads of the Molecule evaluation.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `xpu-shim` — the distributed shim for multi-OS heterogeneous computers
 //! (paper §3, *Serverless Computing on Heterogeneous Computers*, ASPLOS '22).
