@@ -18,7 +18,7 @@
 //! carries its send timestamp, so per-hop latencies (Fig. 12) fall out of
 //! the virtual clock.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use hetsim::engine::ProcCtx;
 use hetsim::interconnect::Link;
 use hetsim::pu::{PuId, PuKind};
@@ -124,11 +124,18 @@ impl ChainOutcome {
 
 const HEADER_BYTES: usize = 16;
 
-fn encode_msg(sent_at: SimTime, hop: u64, body_bytes: u64) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + body_bytes as usize);
-    buf.put_u64_le(sent_at.as_nanos());
-    buf.put_u64_le(hop);
+/// Encodes a chain message — a 16-byte header (send time, hop) and a body
+/// of `body_bytes` bytes of `0xA5` — into `buf`'s allocation when `buf` is
+/// its only owner, or into a fresh buffer otherwise (`Bytes::new()` asks
+/// for one). Only growth is filled, so `buf` must be empty or a chain
+/// message: then the result equals a fresh encode byte for byte. Chains
+/// re-encode each reply into the message it answers, so one buffer per
+/// chain circulates instead of being allocated and freed every hop.
+fn encode_msg(buf: Bytes, sent_at: SimTime, hop: u64, body_bytes: u64) -> Bytes {
+    let mut buf = buf.try_into_mut().unwrap_or_default();
     buf.resize(HEADER_BYTES + body_bytes as usize, 0xA5);
+    buf[0..8].copy_from_slice(&sent_at.as_nanos().to_le_bytes());
+    buf[8..16].copy_from_slice(&hop.to_le_bytes());
     buf.freeze()
 }
 
@@ -311,7 +318,7 @@ fn run_ipc_chain(
                 });
                 // Timestamp when the handler finishes; the language
                 // runtime's serialization is part of the hop latency.
-                let out = encode_msg(sctx.now(), hop + 1, out_bytes);
+                let out = encode_msg(msg, sctx.now(), hop + 1, out_bytes);
                 sctx.sleep(serialize);
                 if writer.write(sctx, out).is_err() {
                     return;
@@ -325,12 +332,14 @@ fn run_ipc_chain(
     // Drive the rounds.
     let entry_serialize = ipc_runtime_overhead(molecule, host);
     let mut end_to_end = Vec::with_capacity(spec.rounds);
+    // Each round's request is encoded into the previous round's reply.
+    let mut reply = Bytes::new();
     for _ in 0..spec.rounds {
         let t0 = ctx.now();
-        let msg = encode_msg(t0, 0, spec.input_bytes);
+        let msg = encode_msg(reply, t0, 0, spec.input_bytes);
         ctx.sleep(entry_serialize);
         entry_writer.write(ctx, msg)?;
-        let reply = result_fifo.read(ctx)?;
+        reply = result_fifo.read(ctx)?;
         let (_sent, hop) = decode_msg(&reply);
         debug_assert_eq!(hop as usize, n);
         end_to_end.push(ctx.now() - t0);
@@ -434,7 +443,7 @@ fn run_http_chain(
                 });
                 // Timestamp at hand-off; the Express/Flask overhead is part
                 // of the hop latency.
-                let out = encode_msg(sctx.now(), hop + 1, out_bytes);
+                let out = encode_msg(msg, sctx.now(), hop + 1, out_bytes);
                 sctx.sleep(hop_overhead);
                 if next_tx.send_delayed(hop_flight, out).is_err() {
                     return;
@@ -449,14 +458,17 @@ fn run_http_chain(
     let (entry_overhead, entry_flight) =
         http_hop_cost(molecule, host, spec.stages[0].pu, spec.input_bytes + HEADER_BYTES as u64);
     let mut end_to_end = Vec::with_capacity(spec.rounds);
+    // Each round's request is encoded into the previous round's reply.
+    let mut reply = Bytes::new();
     for _ in 0..spec.rounds {
         let t0 = ctx.now();
-        let msg = encode_msg(t0, 0, spec.input_bytes);
+        let msg = encode_msg(reply, t0, 0, spec.input_bytes);
         ctx.sleep(entry_overhead);
         stage_txs[0]
             .send_delayed(entry_flight, msg)
             .map_err(|_| MoleculeError::Internal("stage 0 hung up".to_owned()))?;
-        result_rx.recv(ctx).map_err(|_| MoleculeError::Internal("chain died".to_owned()))?;
+        reply =
+            result_rx.recv(ctx).map_err(|_| MoleculeError::Internal("chain died".to_owned()))?;
         end_to_end.push(ctx.now() - t0);
     }
 
@@ -769,5 +781,33 @@ mod tests {
         });
         sim.run().unwrap();
         assert!(h.take_result().unwrap() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn re_encoding_a_message_equals_a_fresh_encode() {
+        let t = SimTime::from_nanos(123_456_789);
+        let fresh = |hop, body| encode_msg(Bytes::new(), t, hop, body);
+        for (from, to) in [(64, 4096), (4096, 64), (512, 512), (0, 16), (16, 0)] {
+            let input = encode_msg(Bytes::new(), SimTime::from_nanos(7), 3, from);
+            let out = encode_msg(input, t, 4, to);
+            assert_eq!(out, fresh(4, to), "unique {from} -> {to}");
+
+            let input = encode_msg(Bytes::new(), SimTime::from_nanos(7), 3, from);
+            let other = input.clone();
+            let out = encode_msg(input, t, 4, to);
+            assert_eq!(out, fresh(4, to), "shared {from} -> {to}");
+            assert_eq!(other, encode_msg(Bytes::new(), SimTime::from_nanos(7), 3, from));
+        }
+        assert_eq!(decode_msg(&fresh(9, 32)), (t, 9));
+    }
+
+    #[test]
+    fn re_encoding_a_unique_message_reuses_its_allocation() {
+        let input = encode_msg(Bytes::new(), SimTime::ZERO, 0, 4096);
+        let ptr = input.as_ptr();
+        let shrunk = encode_msg(input, SimTime::from_nanos(5), 1, 1024);
+        assert_eq!(shrunk.as_ptr(), ptr);
+        let regrown = encode_msg(shrunk, SimTime::from_nanos(9), 2, 4096);
+        assert_eq!(regrown.as_ptr(), ptr);
     }
 }

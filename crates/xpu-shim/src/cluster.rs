@@ -1081,20 +1081,22 @@ impl ShimCluster {
             telemetry::with(|r| r.metrics().counter_add("shim.fifo_drops", 1));
             return Ok(());
         }
-        let duplicate = from != to && plane.sample_fifo_dup(from, to);
+        // Only a fault-injected duplicate shares the payload; otherwise it
+        // moves onto the wire and the reader becomes its sole owner.
+        let duplicate = (from != to && plane.sample_fifo_dup(from, to)).then(|| payload.clone());
         // Descriptors are one-shot, so the slot is placed only after the
         // loss check (a dropped descriptor would leak its slot until FIFO
         // close) and a fault-injected duplicate carries an inline copy
         // instead of a second reference to the same consumable slot.
         let wire_payload = if zero_copy {
-            let desc = self.place_segment(from, to, writer.uuid.clone(), payload.clone());
+            let desc = self.place_segment(from, to, writer.uuid.clone(), payload);
             FifoPayload::Descriptor(desc)
         } else {
-            FifoPayload::Inline(payload.clone())
+            FifoPayload::Inline(payload)
         };
         tx.send_delayed(in_flight, FifoMsg { payload: wire_payload, span })
             .map_err(|_| ShimError::FifoClosed)?;
-        if duplicate {
+        if let Some(payload) = duplicate {
             self.inner.state.lock().stats.duplicated_messages += 1;
             plane.note(ctx.now(), &format!("fault: dup {} {from}->{to}", writer.uuid));
             telemetry::with(|r| r.metrics().counter_add("shim.fifo_dups", 1));

@@ -1,16 +1,20 @@
 //! Offline shim for the `bytes` API subset used by this workspace.
 //!
-//! `Bytes` is an `Arc<[u8]>` window (cheap clones, zero-copy `slice`/
-//! `split_*`); `BytesMut` is a growable buffer. Only the surface the
-//! workspace uses is provided; semantics match the real crate for it.
+//! `Bytes` is a window into a shared `Vec<u8>` (cheap clones, zero-copy
+//! `slice`/`split_*`); `BytesMut` is a growable buffer. As in the real
+//! crate, `Bytes::from(Vec<u8>)` and `BytesMut::freeze` take over the
+//! vector's allocation instead of copying it, and `Bytes::try_into_mut`
+//! hands a uniquely owned window back as a `BytesMut`, so a buffer can be
+//! rewritten in place and sent again. Only the surface the workspace uses
+//! is provided; semantics match the real crate for it.
 
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// Cheaply cloneable, immutable, contiguous byte slice.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -75,6 +79,20 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
+
+    /// Returns the window as a `BytesMut` over the same allocation when
+    /// `self` is the storage's only owner; otherwise returns `self`
+    /// unchanged.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut v) => {
+                v.truncate(end);
+                Ok(BytesMut { data: v, cursor: start })
+            }
+            Err(data) => Err(Bytes { data, start, end }),
+        }
+    }
 }
 
 impl Deref for Bytes {
@@ -99,7 +117,7 @@ impl std::borrow::Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
-        Bytes { data: v.into(), start: 0, end }
+        Bytes { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -223,11 +241,8 @@ impl BytesMut {
     }
 
     pub fn freeze(self) -> Bytes {
-        let mut v = self.data;
-        if self.cursor > 0 {
-            v.drain(..self.cursor);
-        }
-        Bytes::from(v)
+        let end = self.data.len();
+        Bytes { data: Arc::new(self.data), start: self.cursor, end }
     }
 
     /// Splits off and returns the first `at` readable bytes.
@@ -271,6 +286,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data[self.cursor..]
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data[self.cursor..]
     }
 }
 
@@ -455,5 +476,59 @@ mod tests {
         assert_eq!(head.as_ref(), &[1, 2]);
         assert_eq!(b.as_ref(), &[3, 4, 5]);
         assert_eq!(b.slice(1..).as_ref(), &[4, 5]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![7u8; 64];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr);
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(&[1, 2, 3]);
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn try_into_mut_on_unique_returns_the_window() {
+        let whole = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let ptr = whole.as_ptr();
+        let m = whole.try_into_mut().expect("unique");
+        assert_eq!(m.as_ref(), &[1, 2, 3, 4, 5]);
+        assert_eq!(m.as_ptr(), ptr);
+
+        let sliced = Bytes::from(vec![1, 2, 3, 4, 5]).slice(1..4);
+        assert_eq!(sliced.try_into_mut().expect("unique").as_ref(), &[2, 3, 4]);
+
+        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        drop(b.split_to(2));
+        assert_eq!(b.try_into_mut().expect("unique").as_ref(), &[3, 4, 5]);
+    }
+
+    #[test]
+    fn try_into_mut_on_shared_returns_self() {
+        let a = Bytes::from(vec![1, 2, 3]);
+        let b = a.clone();
+        let back = a.try_into_mut().expect_err("shared");
+        assert_eq!(back.as_ref(), &[1, 2, 3]);
+        assert_eq!(back.as_ptr(), b.as_ptr());
+        assert_eq!(b.as_ref(), &[1, 2, 3]);
+
+        // A sub-slice is an owner too.
+        let whole = Bytes::from(vec![1, 2, 3]);
+        let tail = whole.slice(1..);
+        assert!(whole.try_into_mut().is_err());
+        assert_eq!(tail.as_ref(), &[2, 3]);
+    }
+
+    #[test]
+    fn deref_mut_writes_land_in_the_frozen_bytes() {
+        let mut b = Bytes::from(vec![0, 0, 0, 0]);
+        b.advance(1);
+        let mut m = b.try_into_mut().expect("unique");
+        m[0] = 9;
+        m[2] = 8;
+        assert_eq!(m.freeze().as_ref(), &[9, 0, 8]);
     }
 }
