@@ -117,6 +117,10 @@ flake_outcomes() {
         | grep -E '^(test result:|failures:)' \
         | sed 's/; finished in .*//' | sort
 }
-flake_outcomes 1 > /tmp/ci-flake-t1.txt
-flake_outcomes 8 > /tmp/ci-flake-t8.txt
-diff -u /tmp/ci-flake-t1.txt /tmp/ci-flake-t8.txt
+# The ledgers go to a private directory, so concurrent runs cannot
+# overwrite each other's.
+flake_dir=$(mktemp -d)
+trap 'rm -rf "$flake_dir"' EXIT
+flake_outcomes 1 > "$flake_dir/t1.txt"
+flake_outcomes 8 > "$flake_dir/t8.txt"
+diff -u "$flake_dir/t1.txt" "$flake_dir/t8.txt"

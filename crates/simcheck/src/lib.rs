@@ -11,9 +11,10 @@
 //! the default tie-break never picks. This crate drives one test body
 //! through hundreds of distinct interleavings by varying only the
 //! same-instant tie-break (the engine's [`SchedulePolicy`] hook), checking
-//! control-plane invariants after every step, and — when an oracle trips —
-//! delta-debugging the schedule and the fault plan down to a minimal,
-//! replayable repro.
+//! control-plane invariants after every step that changed the state they
+//! read (each watched layer keeps a mutation epoch), and — when an oracle
+//! trips — delta-debugging the schedule and the fault plan down to a
+//! minimal, replayable repro.
 //!
 //! # The pieces
 //!
@@ -26,7 +27,9 @@
 //! * [`oracle`] — invariant checks over [`xpu_shim::ClusterSnapshot`]:
 //!   capability ownership is a partition, no dangling grants, FIFO UUIDs
 //!   never both live and reclaimed, exactly-once reclamation accounting,
-//!   SegmentArena slot balance; plus a per-writer FIFO-order tracker.
+//!   SegmentArena slot balance; plus a per-writer FIFO-order tracker. The
+//!   per-step oracles skip every step on which
+//!   [`ShimCluster::epoch`](xpu_shim::ShimCluster::epoch) did not move.
 //! * [`state_oracle`] — coherence checks over the `molecule-state` shared
 //!   tier: committed version vectors monotone per region, no divergent
 //!   pages for the same committed version, region caps never leaking

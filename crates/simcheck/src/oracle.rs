@@ -1,19 +1,28 @@
 //! Invariant oracles over the cross-PU control plane.
 //!
 //! The snapshot-based checks run against [`ClusterSnapshot`] — either after
-//! every engine step (install via [`ClusterOracle::install`], which uses the
-//! engine's step observer: no engine lock held, no simulated process
-//! mid-syscall) or once at quiescence. Evidence-based checks
-//! ([`FifoOrderTracker`]) are fed by the scenario's own processes as
-//! messages are consumed.
+//! every engine event that moved the cluster's mutation epoch (install via
+//! [`ClusterOracle::install`], which uses the engine's step observer: no
+//! engine lock held, no simulated process mid-syscall) or once at
+//! quiescence. Evidence-based checks ([`FifoOrderTracker`]) are fed by the
+//! scenario's own processes as messages are consumed.
+//!
+//! Skipping a step whose epoch did not move loses nothing: the epoch moves
+//! on every change to what the snapshot reads, so such a step's snapshot
+//! equals the last one checked, and [`check_snapshot`] is a pure function
+//! of the snapshot. A skipped step can neither raise a violation nor move
+//! the first violating step.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use hetsim::engine::Simulation;
+use molecule_state::StateLayer;
 use xpu_shim::cap::Perm;
 use xpu_shim::{ClusterSnapshot, ObjId, ShimCluster, TenantId, XpuPid};
+
+use crate::state_oracle::{check_state, StateHistory};
 
 /// Which invariants [`check_snapshot`] enforces.
 #[derive(Debug, Clone, Copy)]
@@ -168,13 +177,113 @@ pub fn check_snapshot(snap: &ClusterSnapshot, cfg: &OracleConfig) -> Result<(), 
     Ok(())
 }
 
-/// A per-step cluster watchdog: snapshots the cluster after every engine
-/// event and records the first invariant violation. Ask it for the final
-/// [`verdict`](Self::verdict) from the scenario's check closure.
-pub struct ClusterOracle {
+/// The step observer body [`ClusterOracle`] and
+/// [`StateOracle`](crate::StateOracle) share. Each step it re-snapshots
+/// and re-checks the cluster, and the state layer if it watches one, only
+/// when that half's mutation epoch moved since its last check. The first
+/// step always checks both, and so does [`verdict`](Self::verdict).
+///
+/// Re-checking an unchanged state snapshot is a no-op too:
+/// [`check_state`] only raises high-water marks and pins digests it has
+/// already accepted.
+pub(crate) struct GatedObserver {
     cluster: ShimCluster,
+    layer: Option<StateLayer>,
     cfg: OracleConfig,
-    violation: Rc<RefCell<Option<String>>>,
+    history: StateHistory,
+    /// The epochs at the last check of each half (`None`: never checked).
+    cluster_epoch: Option<u64>,
+    state_epoch: Option<u64>,
+    /// Steps observed so far.
+    steps: u64,
+    /// The first violation and the step that raised it.
+    violation: Option<(u64, String)>,
+}
+
+impl GatedObserver {
+    /// Installs an observer over `cluster` (and `layer`) as `sim`'s step
+    /// observer, replacing any previous observer.
+    pub(crate) fn install(
+        sim: &mut Simulation,
+        cluster: &ShimCluster,
+        layer: Option<&StateLayer>,
+        cfg: OracleConfig,
+    ) -> Rc<RefCell<GatedObserver>> {
+        let observer = Rc::new(RefCell::new(GatedObserver {
+            cluster: cluster.clone(),
+            layer: layer.cloned(),
+            cfg,
+            history: StateHistory::new(),
+            cluster_epoch: None,
+            state_epoch: None,
+            steps: 0,
+            violation: None,
+        }));
+        let observed = Rc::clone(&observer);
+        sim.set_step_observer(Box::new(move || observed.borrow_mut().step()));
+        observer
+    }
+
+    fn step(&mut self) {
+        if self.violation.is_some() {
+            return;
+        }
+        self.steps += 1;
+        if let Err(v) = self.check_moved() {
+            self.violation = Some((self.steps, v));
+        }
+    }
+
+    fn check_moved(&mut self) -> Result<(), String> {
+        let epoch = self.cluster.epoch();
+        if self.cluster_epoch != Some(epoch) {
+            check_snapshot(&self.cluster.snapshot(), &self.cfg)?;
+            self.cluster_epoch = Some(epoch);
+        }
+        if let Some(layer) = &self.layer {
+            let epoch = layer.epoch();
+            if self.state_epoch != Some(epoch) {
+                check_state(&layer.snapshot(), &mut self.history)?;
+                self.state_epoch = Some(epoch);
+            }
+        }
+        Ok(())
+    }
+
+    /// The 1-based step that raised the first violation, if any did.
+    pub(crate) fn violation_step(&self) -> Option<u64> {
+        self.violation.as_ref().map(|(step, _)| *step)
+    }
+
+    /// The first per-step violation if one was recorded, else a final
+    /// check of everything watched. `require_empty_arena` additionally
+    /// demands zero parked segment slots.
+    pub(crate) fn verdict(&mut self, require_empty_arena: bool) -> Result<(), String> {
+        if let Some((_, v)) = &self.violation {
+            return Err(format!("[step] {v}"));
+        }
+        let snap = self.cluster.snapshot();
+        check_snapshot(&snap, &self.cfg).map_err(|v| format!("[quiescence] {v}"))?;
+        if let Some(layer) = &self.layer {
+            check_state(&layer.snapshot(), &mut self.history)
+                .map_err(|v| format!("[quiescence] {v}"))?;
+        }
+        if require_empty_arena && snap.outstanding_segments != 0 {
+            return Err(format!(
+                "[quiescence] arena holds {} unresolved slot(s): {:?}",
+                snap.outstanding_segments, snap.parked_segments
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A per-step cluster watchdog: checks the cluster after every engine
+/// event that moved its mutation epoch and records the first invariant
+/// violation. Ask it for the final [`verdict`](Self::verdict) from the
+/// scenario's check closure.
+pub struct ClusterOracle {
+    observer: Rc<RefCell<GatedObserver>>,
 }
 
 impl ClusterOracle {
@@ -185,18 +294,7 @@ impl ClusterOracle {
         cluster: &ShimCluster,
         cfg: OracleConfig,
     ) -> ClusterOracle {
-        let violation = Rc::new(RefCell::new(None));
-        let watched = cluster.clone();
-        let sink = Rc::clone(&violation);
-        sim.set_step_observer(Box::new(move || {
-            if sink.borrow().is_some() {
-                return;
-            }
-            if let Err(v) = check_snapshot(&watched.snapshot(), &cfg) {
-                *sink.borrow_mut() = Some(v);
-            }
-        }));
-        ClusterOracle { cluster: cluster.clone(), cfg, violation }
+        ClusterOracle { observer: GatedObserver::install(sim, cluster, None, cfg) }
     }
 
     /// The verdict: the first per-step violation if one was recorded, else a
@@ -208,18 +306,13 @@ impl ClusterOracle {
     ///
     /// The first violated invariant, as a human-readable message.
     pub fn verdict(&self, require_empty_arena: bool) -> Result<(), String> {
-        if let Some(v) = self.violation.borrow().as_ref() {
-            return Err(format!("[step] {v}"));
-        }
-        let snap = self.cluster.snapshot();
-        check_snapshot(&snap, &self.cfg).map_err(|v| format!("[quiescence] {v}"))?;
-        if require_empty_arena && snap.outstanding_segments != 0 {
-            return Err(format!(
-                "[quiescence] arena holds {} unresolved slot(s): {:?}",
-                snap.outstanding_segments, snap.parked_segments
-            ));
-        }
-        Ok(())
+        self.observer.borrow_mut().verdict(require_empty_arena)
+    }
+
+    /// The engine step (1-based, counting every step the observer saw)
+    /// whose check raised the first violation, if any did.
+    pub fn violation_step(&self) -> Option<u64> {
+        self.observer.borrow().violation_step()
     }
 }
 

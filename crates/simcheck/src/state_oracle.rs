@@ -24,7 +24,11 @@
 //! [`StateOracle::install`] combines this with the control-plane
 //! [`check_snapshot`] in a single engine step observer (the engine holds
 //! exactly one), so a scenario gets cluster *and* state invariants checked
-//! after every event with one install call.
+//! after every event that moved its epoch, with one install call. Each
+//! half is gated on its own mutation epoch: [`ShimCluster::epoch`] and
+//! [`StateLayer::epoch`].
+//!
+//! [`check_snapshot`]: crate::oracle::check_snapshot
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,7 +38,7 @@ use hetsim::engine::Simulation;
 use molecule_state::{StateLayer, StateSnapshot};
 use xpu_shim::ShimCluster;
 
-use crate::oracle::{check_snapshot, OracleConfig};
+use crate::oracle::{GatedObserver, OracleConfig};
 
 /// Cross-step evidence for [`check_state`]: high-water marks and pinned
 /// digests per region name.
@@ -115,14 +119,13 @@ pub fn check_state(snap: &StateSnapshot, hist: &mut StateHistory) -> Result<(), 
 }
 
 /// A per-step watchdog combining the control-plane [`check_snapshot`] and
-/// the stateful [`check_state`] in one engine step observer. Ask it for the
-/// final [`verdict`](Self::verdict) from the scenario's check closure.
+/// the stateful [`check_state`] in one engine step observer. Each half is
+/// re-checked only on the steps that moved its mutation epoch. Ask it for
+/// the final [`verdict`](Self::verdict) from the scenario's check closure.
+///
+/// [`check_snapshot`]: crate::oracle::check_snapshot
 pub struct StateOracle {
-    cluster: ShimCluster,
-    layer: StateLayer,
-    cfg: OracleConfig,
-    violation: Rc<RefCell<Option<String>>>,
-    history: Rc<RefCell<StateHistory>>,
+    observer: Rc<RefCell<GatedObserver>>,
 }
 
 impl StateOracle {
@@ -137,23 +140,7 @@ impl StateOracle {
         layer: &StateLayer,
         cfg: OracleConfig,
     ) -> StateOracle {
-        let violation = Rc::new(RefCell::new(None));
-        let history = Rc::new(RefCell::new(StateHistory::new()));
-        let watched_cluster = cluster.clone();
-        let watched_layer = layer.clone();
-        let sink = Rc::clone(&violation);
-        let hist = Rc::clone(&history);
-        sim.set_step_observer(Box::new(move || {
-            if sink.borrow().is_some() {
-                return;
-            }
-            let outcome = check_snapshot(&watched_cluster.snapshot(), &cfg)
-                .and_then(|()| check_state(&watched_layer.snapshot(), &mut hist.borrow_mut()));
-            if let Err(v) = outcome {
-                *sink.borrow_mut() = Some(v);
-            }
-        }));
-        StateOracle { cluster: cluster.clone(), layer: layer.clone(), cfg, violation, history }
+        StateOracle { observer: GatedObserver::install(sim, cluster, Some(layer), cfg) }
     }
 
     /// The verdict: the first per-step violation if one was recorded, else a
@@ -165,20 +152,13 @@ impl StateOracle {
     ///
     /// The first violated invariant, as a human-readable message.
     pub fn verdict(&self, require_empty_arena: bool) -> Result<(), String> {
-        if let Some(v) = self.violation.borrow().as_ref() {
-            return Err(format!("[step] {v}"));
-        }
-        let snap = self.cluster.snapshot();
-        check_snapshot(&snap, &self.cfg).map_err(|v| format!("[quiescence] {v}"))?;
-        check_state(&self.layer.snapshot(), &mut self.history.borrow_mut())
-            .map_err(|v| format!("[quiescence] {v}"))?;
-        if require_empty_arena && snap.outstanding_segments != 0 {
-            return Err(format!(
-                "[quiescence] arena holds {} unresolved slot(s): {:?}",
-                snap.outstanding_segments, snap.parked_segments
-            ));
-        }
-        Ok(())
+        self.observer.borrow_mut().verdict(require_empty_arena)
+    }
+
+    /// The engine step (1-based, counting every step the observer saw)
+    /// whose check raised the first violation, if any did.
+    pub fn violation_step(&self) -> Option<u64> {
+        self.observer.borrow().violation_step()
     }
 }
 

@@ -9,10 +9,11 @@ use hetsim::pu::PuId;
 use hetsim::time::SimDuration;
 use hetsim::topology::Machine;
 use molecule_simcheck::explore::{explore, Check, ExploreOptions};
-use molecule_simcheck::{
-    ClusterOracle, FifoOrderTracker, OracleConfig, ReplayPolicy, ShuffledPolicy,
-};
+use molecule_simcheck::{FifoOrderTracker, OracleConfig, ReplayPolicy, ShuffledPolicy};
 use xpu_shim::{Perm, ShimCluster, ShimConfig};
+
+mod common;
+use common::Watch;
 
 /// Three racers over one cluster:
 ///
@@ -25,10 +26,10 @@ use xpu_shim::{Perm, ShimCluster, ShimConfig};
 /// Every interleaving must keep the capability table a partition, leak no
 /// grants, and reclaim each UUID exactly once — the per-step oracle checks
 /// all of it after every event.
-fn control_plane_scenario(sim: &mut Simulation) -> Check {
+fn control_plane_scenario(sim: &mut Simulation, watch: Watch) -> Check {
     let machine = Machine::paper_cpu_dpu_server();
     let cluster = ShimCluster::deploy(machine.clone(), ShimConfig::default());
-    let oracle = ClusterOracle::install(sim, &cluster, OracleConfig::default());
+    let oracle = watch.cluster(sim, &cluster, OracleConfig::default());
 
     let cl = cluster.clone();
     sim.spawn("spawner", move |ctx| {
@@ -90,7 +91,7 @@ fn control_plane_scenario(sim: &mut Simulation) -> Check {
 #[test]
 fn xspawn_grant_revoke_reclaim_races_hold_invariants() {
     let opts = ExploreOptions { trials: 256, seed: 11, ..ExploreOptions::default() };
-    let report = explore(&opts, control_plane_scenario);
+    let report = explore(&opts, |sim| control_plane_scenario(sim, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -98,6 +99,13 @@ fn xspawn_grant_revoke_reclaim_races_hold_invariants() {
         report.distinct_schedules,
         report.trials_run
     );
+}
+
+/// Epoch gating skips only steps that changed nothing the oracle reads,
+/// and agrees with a full check on every verdict.
+#[test]
+fn epoch_gating_skips_only_unchanged_steps() {
+    common::assert_gating_sound(control_plane_scenario);
 }
 
 /// Two DPU writers interleave seq-stamped messages into one host FIFO.

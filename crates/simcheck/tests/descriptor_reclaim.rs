@@ -15,8 +15,11 @@ use hetsim::pu::PuId;
 use hetsim::time::SimDuration;
 use hetsim::topology::Machine;
 use molecule_simcheck::explore::{explore, Check, ExploreOptions};
-use molecule_simcheck::{ClusterOracle, OracleConfig};
+use molecule_simcheck::OracleConfig;
 use xpu_shim::{Perm, ShimCluster, ShimConfig};
+
+mod common;
+use common::Watch;
 
 /// Well past the zero-copy threshold (16 KiB), so every write places its
 /// bytes in a shared-segment slot and ships a descriptor.
@@ -28,10 +31,10 @@ fn big_payload(seq: u8) -> Bytes {
     Bytes::from(vec![seq; PAYLOAD])
 }
 
-fn descriptor_reclaim_scenario(sim: &mut Simulation) -> Check {
+fn descriptor_reclaim_scenario(sim: &mut Simulation, watch: Watch) -> Check {
     let machine = Machine::paper_cpu_dpu_server();
     let cluster = ShimCluster::deploy(machine, ShimConfig::default());
-    let oracle = ClusterOracle::install(sim, &cluster, OracleConfig::default());
+    let oracle = watch.cluster(sim, &cluster, OracleConfig::default());
 
     let mut readers = Vec::new();
     for stream in 0..STREAMS {
@@ -110,7 +113,7 @@ fn descriptor_reclaim_scenario(sim: &mut Simulation) -> Check {
 #[test]
 fn descriptor_handoff_vs_reclaim_leaks_nothing() {
     let opts = ExploreOptions { trials: 256, seed: 31, ..ExploreOptions::default() };
-    let report = explore(&opts, descriptor_reclaim_scenario);
+    let report = explore(&opts, |sim| descriptor_reclaim_scenario(sim, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -118,4 +121,11 @@ fn descriptor_handoff_vs_reclaim_leaks_nothing() {
         report.distinct_schedules,
         report.trials_run
     );
+}
+
+/// Epoch gating skips only steps that changed nothing the oracle reads,
+/// and agrees with a full check on every verdict.
+#[test]
+fn epoch_gating_skips_only_unchanged_steps() {
+    common::assert_gating_sound(descriptor_reclaim_scenario);
 }

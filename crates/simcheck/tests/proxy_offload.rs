@@ -15,8 +15,11 @@ use hetsim::topology::Machine;
 use molecule_chaos::{FaultAction, FaultPlan};
 use molecule_core::proxy::{ProxyError, ProxyPool, ProxyPoolConfig, ProxyStats};
 use molecule_simcheck::explore::{explore, explore_faulty, Check, ExploreOptions};
-use molecule_simcheck::{ClusterOracle, OracleConfig};
+use molecule_simcheck::OracleConfig;
 use xpu_shim::{ShimCluster, ShimConfig};
+
+mod common;
+use common::{Oracle, Watch};
 
 const CLIENTS: u8 = 3;
 const OFFLOADS_PER_CLIENT: usize = 10;
@@ -68,9 +71,10 @@ fn run_offload_fleet(
     sim: &mut Simulation,
     machine: Machine,
     reclaim_dead: Option<PuId>,
-) -> (hetsim::engine::ProcHandle<Outcome>, ClusterOracle) {
+    watch: Watch,
+) -> (hetsim::engine::ProcHandle<Outcome>, Oracle) {
     let cluster = ShimCluster::deploy(machine, ShimConfig::default());
-    let oracle = ClusterOracle::install(sim, &cluster, OracleConfig::default());
+    let oracle = watch.cluster(sim, &cluster, OracleConfig::default());
 
     let cl = cluster.clone();
     let driver = sim.spawn("offload-driver", move |ctx| {
@@ -133,8 +137,8 @@ fn run_offload_fleet(
 }
 
 /// Fault-free: every offload must succeed, nothing may be reclaimed.
-fn offload_scenario(sim: &mut Simulation) -> Check {
-    let (driver, oracle) = run_offload_fleet(sim, Machine::paper_cpu_dpu_server(), None);
+fn offload_scenario(sim: &mut Simulation, watch: Watch) -> Check {
+    let (driver, oracle) = run_offload_fleet(sim, Machine::paper_cpu_dpu_server(), None, watch);
     Box::new(move |result| {
         result.as_ref().map_err(|e| e.to_string())?;
         let out = driver.take_result().expect("driver finished");
@@ -153,12 +157,12 @@ fn offload_scenario(sim: &mut Simulation) -> Check {
 /// DPU-kill: one of the two DPUs dies mid-stream. Requests routed there
 /// fail over; each failed request is reclaimed exactly once and the
 /// survivor DPU's proxies keep serving.
-fn dpu_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
+fn dpu_kill_scenario(sim: &mut Simulation, plan: &FaultPlan, watch: Watch) -> Check {
     // The plan kills PuId(1); the shared body sweeps it after the clients
     // drain so the run quiesces.
     let machine = Machine::paper_cpu_dpu_server();
     molecule_chaos::spawn_injector(sim, &machine, plan);
-    let (driver, oracle) = run_offload_fleet(sim, machine, Some(PuId(1)));
+    let (driver, oracle) = run_offload_fleet(sim, machine, Some(PuId(1)), watch);
     Box::new(move |result| {
         result.as_ref().map_err(|e| e.to_string())?;
         let out = driver.take_result().expect("driver finished");
@@ -176,7 +180,7 @@ fn dpu_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
 #[test]
 fn offload_ledger_balances_on_every_schedule() {
     let opts = ExploreOptions { trials: 256, seed: 0x0ff1_0ad0, ..ExploreOptions::default() };
-    let report = explore(&opts, offload_scenario);
+    let report = explore(&opts, |sim| offload_scenario(sim, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -189,12 +193,8 @@ fn offload_ledger_balances_on_every_schedule() {
 #[test]
 fn dpu_kill_reclaims_exactly_once_on_every_schedule() {
     let opts = ExploreOptions { trials: 256, seed: 0x00de_add9, ..ExploreOptions::default() };
-    // Pool deployment alone charges ~72 ms of virtual time (xspawn boots
-    // four proxies), and the three client streams then run from ~72.5 ms to
-    // ~73.7 ms — so the kill lands at 73 ms, mid-stream on every schedule.
-    let plan = FaultPlan::new(0x00de_add9)
-        .with(SimTime::ZERO + SimDuration::from_micros(73_000), FaultAction::KillPu(PuId(1)));
-    let report = explore_faulty(&opts, plan, dpu_kill_scenario);
+    let report =
+        explore_faulty(&opts, kill_plan(), |sim, plan| dpu_kill_scenario(sim, plan, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -202,4 +202,21 @@ fn dpu_kill_reclaims_exactly_once_on_every_schedule() {
         report.distinct_schedules,
         report.trials_run
     );
+}
+
+/// Pool deployment alone charges ~72 ms of virtual time (xspawn boots four
+/// proxies), and the three client streams then run from ~72.5 ms to
+/// ~73.7 ms — so the kill lands at 73 ms, mid-stream on every schedule.
+fn kill_plan() -> FaultPlan {
+    FaultPlan::new(0x00de_add9)
+        .with(SimTime::ZERO + SimDuration::from_micros(73_000), FaultAction::KillPu(PuId(1)))
+}
+
+/// Epoch gating skips only steps that changed nothing the oracle reads,
+/// and agrees with a full check on every verdict.
+#[test]
+fn epoch_gating_skips_only_unchanged_steps() {
+    common::assert_gating_sound(offload_scenario);
+    let plan = kill_plan();
+    common::assert_gating_sound(|sim, watch| dpu_kill_scenario(sim, &plan, watch));
 }

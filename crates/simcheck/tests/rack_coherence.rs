@@ -5,7 +5,7 @@
 //! the faulty suite, an entire node is killed mid-stream by the chaos
 //! plane's `kill-node` verb and its PUs swept one by one, the way the rack
 //! front's dead-node sweep does. Whatever the interleaving, the
-//! [`StateOracle`] demands capability ownership stays a partition, FIFO
+//! [`StateOracle`](molecule_simcheck::StateOracle) demands capability ownership stays a partition, FIFO
 //! UUIDs reclaim exactly once, per-region version vectors stay monotone,
 //! no two PUs expose divergent bytes for the same committed version, and
 //! no arena slot survives quiescence.
@@ -24,9 +24,12 @@ use hetsim::time::{SimDuration, SimTime};
 use hetsim::topology::Machine;
 use molecule_chaos::{FaultAction, FaultPlan};
 use molecule_simcheck::explore::{explore, explore_faulty, Check, ExploreOptions};
-use molecule_simcheck::{OracleConfig, StateOracle};
+use molecule_simcheck::OracleConfig;
 use molecule_state::{RegionSpec, StateError, StateLayer};
 use xpu_shim::{ShimCluster, ShimConfig};
+
+mod common;
+use common::Watch;
 
 /// 8 standard pages = 32 KiB — descriptor-eligible on every transfer.
 const PAGES: u64 = 8;
@@ -87,11 +90,11 @@ fn check_uniform(who: &str, bytes: &[u8]) -> Result<(), String> {
 /// remote commits — every leg a fabric crossing. The master drops the
 /// region once both remotes are done, so quiescence can demand an empty
 /// arena on *both* nodes.
-fn cross_node_race_scenario(sim: &mut Simulation) -> Check {
+fn cross_node_race_scenario(sim: &mut Simulation, watch: Watch) -> Check {
     let machine = Machine::rack(2, 1);
     let cluster = ShimCluster::deploy(machine, ShimConfig::default());
     let layer = StateLayer::new(cluster.clone());
-    let oracle = StateOracle::install(sim, &cluster, &layer, OracleConfig::default());
+    let oracle = watch.state(sim, &cluster, &layer, OracleConfig::default());
 
     let mut workers = Vec::new();
     for pipeline in 0..PIPELINES {
@@ -176,7 +179,8 @@ fn cross_node_race_scenario(sim: &mut Simulation) -> Check {
 
 #[test]
 fn cross_node_commit_pull_races_stay_coherent() {
-    let report = explore(&ExploreOptions::default(), cross_node_race_scenario);
+    let report =
+        explore(&ExploreOptions::default(), |sim| cross_node_race_scenario(sim, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -191,11 +195,11 @@ fn cross_node_commit_pull_races_stay_coherent() {
 /// front's dead-node sweep does; racing node-0 writers and readers ride
 /// through the crash on legal transients. The oracle demands the version
 /// vector survives re-mastering monotonically and nothing leaks.
-fn node_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
+fn node_kill_scenario(sim: &mut Simulation, plan: &FaultPlan, watch: Watch) -> Check {
     let machine = Machine::rack(2, 1);
     let cluster = ShimCluster::deploy(machine.clone(), ShimConfig::default());
     let layer = StateLayer::new(cluster.clone());
-    let oracle = StateOracle::install(sim, &cluster, &layer, OracleConfig::default());
+    let oracle = watch.state(sim, &cluster, &layer, OracleConfig::default());
     molecule_chaos::spawn_injector(sim, &machine, plan);
 
     let mut workers = Vec::new();
@@ -287,15 +291,30 @@ fn node_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
     })
 }
 
+/// Node 1 dies whole at 300 us, mid-stream.
+fn kill_plan() -> FaultPlan {
+    FaultPlan::new(0x7ac4_5eed)
+        .with(SimTime::ZERO + SimDuration::from_micros(300), FaultAction::KillNode(NodeId(1)))
+}
+
 #[test]
 fn node_kill_sweep_remaster_stays_coherent() {
-    let plan = FaultPlan::new(0x7ac4_5eed)
-        .with(SimTime::ZERO + SimDuration::from_micros(300), FaultAction::KillNode(NodeId(1)));
-    let report = explore_faulty(&ExploreOptions::default(), plan, node_kill_scenario);
+    let report = explore_faulty(&ExploreOptions::default(), kill_plan(), |sim, plan| {
+        node_kill_scenario(sim, plan, Watch::Gated)
+    });
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
         "want >= 200 distinct schedules, got {}",
         report.distinct_schedules
     );
+}
+
+/// Epoch gating skips only steps that changed nothing the oracle reads,
+/// and agrees with a full check on every verdict.
+#[test]
+fn epoch_gating_skips_only_unchanged_steps() {
+    common::assert_gating_sound(cross_node_race_scenario);
+    let plan = kill_plan();
+    common::assert_gating_sound(|sim, watch| node_kill_scenario(sim, &plan, watch));
 }

@@ -23,6 +23,9 @@ use molecule_simcheck::{OracleConfig, StateOracle};
 use molecule_state::{RegionSpec, StateError, StateLayer};
 use xpu_shim::{ShimCluster, ShimConfig};
 
+mod common;
+use common::Watch;
+
 /// 8 standard pages = 32 KiB — descriptor-eligible on every transfer.
 const PAGES: u64 = 8;
 const SIZE: usize = (PAGES * 4096) as usize;
@@ -81,11 +84,11 @@ fn check_uniform(who: &str, bytes: &[u8]) -> Result<(), String> {
 /// DPU replica pulling and reading, and a second DPU replica pushing its
 /// own remote commits. The master drops the region once both remotes are
 /// done, so quiescence can demand an empty arena.
-fn commit_pull_race_scenario(sim: &mut Simulation) -> Check {
+fn commit_pull_race_scenario(sim: &mut Simulation, watch: Watch) -> Check {
     let machine = Machine::paper_cpu_dpu_server();
     let cluster = ShimCluster::deploy(machine, ShimConfig::default());
     let layer = StateLayer::new(cluster.clone());
-    let oracle = StateOracle::install(sim, &cluster, &layer, OracleConfig::default());
+    let oracle = watch.state(sim, &cluster, &layer, OracleConfig::default());
 
     let mut workers = Vec::new();
     for pipeline in 0..PIPELINES {
@@ -169,7 +172,8 @@ fn commit_pull_race_scenario(sim: &mut Simulation) -> Check {
 
 #[test]
 fn commit_pull_races_stay_coherent() {
-    let report = explore(&ExploreOptions::default(), commit_pull_race_scenario);
+    let report =
+        explore(&ExploreOptions::default(), |sim| commit_pull_race_scenario(sim, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -183,11 +187,11 @@ fn commit_pull_races_stay_coherent() {
 /// its regions onto the freshest survivor; racing writers and pullers ride
 /// through the crash on legal transients. The oracle demands the version
 /// vector survives re-mastering monotonically and nothing leaks.
-fn owner_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
+fn owner_kill_scenario(sim: &mut Simulation, plan: &FaultPlan, watch: Watch) -> Check {
     let machine = Machine::paper_cpu_dpu_server();
     let cluster = ShimCluster::deploy(machine.clone(), ShimConfig::default());
     let layer = StateLayer::new(cluster.clone());
-    let oracle = StateOracle::install(sim, &cluster, &layer, OracleConfig::default());
+    let oracle = watch.state(sim, &cluster, &layer, OracleConfig::default());
     molecule_chaos::spawn_injector(sim, &machine, plan);
 
     let mut workers = Vec::new();
@@ -277,17 +281,32 @@ fn owner_kill_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
     })
 }
 
+/// The mastering DPU dies at 300 us, mid-stream.
+fn kill_plan() -> FaultPlan {
+    FaultPlan::new(0x5eed_dead)
+        .with(SimTime::ZERO + SimDuration::from_micros(300), FaultAction::KillPu(PuId(1)))
+}
+
 #[test]
 fn owner_kill_reclaim_remaster_stays_coherent() {
-    let plan = FaultPlan::new(0x5eed_dead)
-        .with(SimTime::ZERO + SimDuration::from_micros(300), FaultAction::KillPu(PuId(1)));
-    let report = explore_faulty(&ExploreOptions::default(), plan, owner_kill_scenario);
+    let report = explore_faulty(&ExploreOptions::default(), kill_plan(), |sim, plan| {
+        owner_kill_scenario(sim, plan, Watch::Gated)
+    });
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
         "want >= 200 distinct schedules, got {}",
         report.distinct_schedules
     );
+}
+
+/// Epoch gating skips only steps that changed nothing the oracle reads,
+/// and agrees with a full check on every verdict.
+#[test]
+fn epoch_gating_skips_only_unchanged_steps() {
+    common::assert_gating_sound(commit_pull_race_scenario);
+    let plan = kill_plan();
+    common::assert_gating_sound(|sim, watch| owner_kill_scenario(sim, &plan, watch));
 }
 
 /// The state layer memoizes each replica's digest, and that must weaken

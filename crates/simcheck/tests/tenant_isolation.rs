@@ -12,8 +12,11 @@ use hetsim::time::{SimDuration, SimTime};
 use hetsim::topology::Machine;
 use molecule_chaos::{FaultAction, FaultPlan};
 use molecule_simcheck::explore::{explore_faulty, Check, ExploreOptions};
-use molecule_simcheck::{ClusterOracle, OracleConfig};
+use molecule_simcheck::OracleConfig;
 use xpu_shim::{Perm, ShimCluster, ShimConfig, ShimError, TenantId};
+
+mod common;
+use common::Watch;
 
 const TENANTS: u32 = 3;
 const MESSAGES: u8 = 4;
@@ -22,10 +25,10 @@ const MESSAGES: u8 = 4;
 /// adversary attached under the *next* tenant's domain that keeps trying
 /// to break in. Identical pipelines stay in lockstep, handing the explorer
 /// a multi-way tie at every instant.
-fn tenant_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
+fn tenant_scenario(sim: &mut Simulation, plan: &FaultPlan, watch: Watch) -> Check {
     let machine = Machine::paper_cpu_dpu_server();
     let cluster = ShimCluster::deploy(machine.clone(), ShimConfig::default());
-    let oracle = ClusterOracle::install(sim, &cluster, OracleConfig::default());
+    let oracle = watch.cluster(sim, &cluster, OracleConfig::default());
     molecule_chaos::spawn_injector(sim, &machine, plan);
     let faulty = !plan.events().is_empty();
 
@@ -126,7 +129,9 @@ fn tenant_scenario(sim: &mut Simulation, plan: &FaultPlan) -> Check {
 #[test]
 fn tenant_domains_hold_across_schedules() {
     let opts = ExploreOptions { trials: 256, seed: 47, ..ExploreOptions::default() };
-    let report = explore_faulty(&opts, FaultPlan::new(47), tenant_scenario);
+    let report = explore_faulty(&opts, FaultPlan::new(47), |sim, plan| {
+        tenant_scenario(sim, plan, Watch::Gated)
+    });
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -139,9 +144,8 @@ fn tenant_domains_hold_across_schedules() {
 #[test]
 fn tenant_domains_hold_across_kill_and_reclaim() {
     let opts = ExploreOptions { trials: 256, seed: 53, ..ExploreOptions::default() };
-    let plan = FaultPlan::new(53)
-        .with(SimTime::ZERO + SimDuration::from_micros(300), FaultAction::KillPu(PuId(1)));
-    let report = explore_faulty(&opts, plan, tenant_scenario);
+    let report =
+        explore_faulty(&opts, kill_plan(), |sim, plan| tenant_scenario(sim, plan, Watch::Gated));
     report.assert_clean();
     assert!(
         report.distinct_schedules >= 200,
@@ -149,4 +153,18 @@ fn tenant_domains_hold_across_kill_and_reclaim() {
         report.distinct_schedules,
         report.trials_run
     );
+}
+
+/// The DPU dies at 300 us, mid-pipeline.
+fn kill_plan() -> FaultPlan {
+    FaultPlan::new(53)
+        .with(SimTime::ZERO + SimDuration::from_micros(300), FaultAction::KillPu(PuId(1)))
+}
+
+/// Epoch gating skips only steps that changed nothing the oracle reads,
+/// and agrees with a full check on every verdict.
+#[test]
+fn epoch_gating_skips_only_unchanged_steps() {
+    let plan = kill_plan();
+    common::assert_gating_sound(|sim, watch| tenant_scenario(sim, &plan, watch));
 }

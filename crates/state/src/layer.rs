@@ -27,6 +27,7 @@
 //! reached the dead master's memory are lost (documented write-back
 //! semantics); the committed-version counter still never moves backwards.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -38,7 +39,7 @@ use hetsim::os::{BlockId, OsPid};
 use hetsim::pu::{PuId, PuModel};
 use parking_lot::Mutex;
 use xpu_shim::cluster::ShimCluster;
-use xpu_shim::{GlobalUuid, ObjId, Perm, TenantId, XpuPid};
+use xpu_shim::{GlobalUuid, ObjId, Perm, TenantId, Watched, XpuPid};
 
 use crate::committed::Committed;
 use crate::region::{
@@ -50,22 +51,44 @@ use crate::region::{
 /// state-locality placement.
 pub type HostObserver = Arc<dyn Fn(&str, PuId, bool) + Send + Sync>;
 
+/// A replica's uncommitted writes. No snapshot reads them, so
+/// [`StateLayer::write`] stages them through the shared accessor and
+/// leaves the layer's mutation epoch alone.
+#[derive(Default)]
+struct Staging {
+    /// COW working set: page index → private page content.
+    dirty: BTreeMap<u64, Vec<u8>>,
+    /// Private page blocks allocated to writers for COW breaks, released
+    /// when the dirty set publishes or the replica goes away.
+    blocks: Vec<(OsPid, BlockId)>,
+}
+
 struct Replica {
     /// Committed version this cache holds.
     version: u64,
     /// The cached committed bytes (never mutated by local writes).
     committed: Committed,
-    /// COW working set: page index → private page content.
-    dirty: BTreeMap<u64, Vec<u8>>,
+    staging: RefCell<Staging>,
     /// The region-host process owning the backing block on this PU's OS.
     host_pid: OsPid,
     /// The shared backing block sandboxes `map_shared`.
     block: BlockId,
     /// This replica's shim process (holds the region capabilities).
     daemon: XpuPid,
-    /// Private page blocks allocated to writers for COW breaks, released
-    /// when the dirty set publishes or the replica goes away.
-    dirty_blocks: Vec<(OsPid, BlockId)>,
+}
+
+impl Replica {
+    /// A fresh replica at version 0 (all-zero bytes) with nothing staged.
+    fn new(size: usize, host_pid: OsPid, block: BlockId, daemon: XpuPid) -> Replica {
+        Replica {
+            version: 0,
+            committed: Committed::zeroed(size),
+            staging: RefCell::default(),
+            host_pid,
+            block,
+            daemon,
+        }
+    }
 }
 
 struct Region {
@@ -88,7 +111,9 @@ impl Region {
 
 #[derive(Default)]
 struct LayerState {
-    regions: HashMap<String, Region>,
+    /// Every region with its replicas' versions and committed caches: what
+    /// [`StateLayer::snapshot`] reads, so every change moves the epoch.
+    regions: Watched<HashMap<String, Region>>,
     /// Per-(PU, region) single-flight gates for attach/pull.
     gates: HashMap<(PuId, String), SimSemaphore>,
 }
@@ -108,7 +133,7 @@ pub struct StateLayer {
 impl fmt::Debug for StateLayer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.inner.state.lock();
-        f.debug_struct("StateLayer").field("regions", &st.regions.len()).finish()
+        f.debug_struct("StateLayer").field("regions", &st.regions.get().len()).finish()
     }
 }
 
@@ -136,6 +161,7 @@ impl StateLayer {
         let existing: Vec<(String, PuId)> = {
             let st = self.inner.state.lock();
             st.regions
+                .get()
                 .iter()
                 .flat_map(|(name, r)| r.replicas.keys().map(|pu| (name.clone(), *pu)))
                 .collect()
@@ -180,7 +206,7 @@ impl StateLayer {
         spec: RegionSpec,
     ) -> Result<(), StateError> {
         let name = spec.name.clone();
-        if self.inner.state.lock().regions.contains_key(&name) {
+        if self.inner.state.lock().regions.get().contains_key(&name) {
             return Err(StateError::RegionExists(name));
         }
         let os =
@@ -207,7 +233,7 @@ impl StateLayer {
             let mut st = self.inner.state.lock();
             // register_region yielded; a concurrent create with the same
             // name would have failed on the UUID, so the slot is still ours.
-            st.regions.insert(
+            st.regions.get_mut().insert(
                 name.clone(),
                 Region {
                     spec,
@@ -218,15 +244,7 @@ impl StateLayer {
                     floor: 0,
                     replicas: BTreeMap::from([(
                         master,
-                        Replica {
-                            version: 0,
-                            committed: Committed::zeroed(size),
-                            dirty: BTreeMap::new(),
-                            host_pid,
-                            block,
-                            daemon,
-                            dirty_blocks: Vec::new(),
-                        },
+                        Replica::new(size, host_pid, block, daemon),
                     )]),
                 },
             );
@@ -282,7 +300,7 @@ impl StateLayer {
         let (master, guard, pages, region_tenant) = {
             let st = self.inner.state.lock();
             let region =
-                st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+                st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             if let Some(replica) = region.replicas.get(&pu) {
                 return Ok(replica.block);
             }
@@ -309,21 +327,13 @@ impl StateLayer {
         }
         {
             let mut st = self.inner.state.lock();
-            let region =
-                st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+            let region = st
+                .regions
+                .get_mut()
+                .get_mut(name)
+                .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             let size = region.spec.size_bytes() as usize;
-            region.replicas.insert(
-                pu,
-                Replica {
-                    version: 0,
-                    committed: Committed::zeroed(size),
-                    dirty: BTreeMap::new(),
-                    host_pid,
-                    block,
-                    daemon,
-                    dirty_blocks: Vec::new(),
-                },
-            );
+            region.replicas.insert(pu, Replica::new(size, host_pid, block, daemon));
         }
         telemetry::counter_add("state.attaches", 1);
         self.notify(name, pu, true);
@@ -336,19 +346,19 @@ impl StateLayer {
     /// The backing block of `name`'s replica on `pu`, if attached.
     pub fn block_of(&self, pu: PuId, name: &str) -> Option<BlockId> {
         let st = self.inner.state.lock();
-        st.regions.get(name).and_then(|r| r.replicas.get(&pu)).map(|r| r.block)
+        st.regions.get().get(name).and_then(|r| r.replicas.get(&pu)).map(|r| r.block)
     }
 
     /// PUs currently hosting a replica of `name`, sorted.
     pub fn hosts(&self, name: &str) -> Vec<PuId> {
         let st = self.inner.state.lock();
-        st.regions.get(name).map_or_else(Vec::new, |r| r.replicas.keys().copied().collect())
+        st.regions.get().get(name).map_or_else(Vec::new, |r| r.replicas.keys().copied().collect())
     }
 
     /// The committed version at the master.
     pub fn version(&self, name: &str) -> Option<u64> {
         let st = self.inner.state.lock();
-        st.regions.get(name).map(|r| r.master_version())
+        st.regions.get().get(name).map(|r| r.master_version())
     }
 
     /// Test-only: flips byte `offset` of `pu`'s committed cache of `name`
@@ -368,8 +378,11 @@ impl StateLayer {
         offset: u64,
     ) -> Result<(), StateError> {
         let mut st = self.inner.state.lock();
-        let region =
-            st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+        let region = st
+            .regions
+            .get_mut()
+            .get_mut(name)
+            .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
         Self::check_bounds(offset, 1, region.spec.size_bytes())?;
         let replica =
             region.replicas.get_mut(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
@@ -404,27 +417,28 @@ impl StateLayer {
     ) -> Result<(), StateError> {
         ctx.sleep(self.os_costs(pu).syscall);
         let os = self.inner.cluster.machine().os(pu).cloned();
-        let mut st = self.inner.state.lock();
+        // Staging changes nothing a snapshot reads: shared access suffices.
+        let st = self.inner.state.lock();
         let region =
-            st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+            st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
         let size = region.spec.size_bytes();
         let page_bytes = region.spec.page_bytes;
         Self::check_bounds(offset, data.len() as u64, size)?;
         let replica =
-            region.replicas.get_mut(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
+            region.replicas.get(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
+        let staging = &mut *replica.staging.borrow_mut();
         let mut cow_broken = 0u64;
         let first_page = offset / page_bytes;
         let last_page = (offset + data.len() as u64).div_ceil(page_bytes).max(first_page + 1);
         for page in first_page..last_page {
             let page_start = page * page_bytes;
             // Seed the working copy from the visible content on first touch.
-            if !replica.dirty.contains_key(&page) {
+            let copy = staging.dirty.entry(page).or_insert_with(|| {
+                cow_broken += 1;
                 let lo = page_start as usize;
                 let hi = (page_start + page_bytes) as usize;
-                replica.dirty.insert(page, replica.committed.bytes()[lo..hi].to_vec());
-                cow_broken += 1;
-            }
-            let copy = replica.dirty.get_mut(&page).expect("inserted above");
+                replica.committed.bytes()[lo..hi].to_vec()
+            });
             let from = offset.max(page_start);
             let to = (offset + data.len() as u64).min(page_start + page_bytes);
             copy[(from - page_start) as usize..(to - page_start) as usize]
@@ -435,7 +449,7 @@ impl StateLayer {
                 // The writer's private COW copies: its RSS grows, the shared
                 // block (and every other sharer's PSS) does not.
                 if let Ok(b) = os.map_private(writer, cow_broken) {
-                    replica.dirty_blocks.push((writer, b));
+                    staging.blocks.push((writer, b));
                 }
             }
             telemetry::counter_add("state.cow_breaks", cow_broken);
@@ -461,10 +475,12 @@ impl StateLayer {
     ) -> Result<Vec<u8>, StateError> {
         ctx.sleep(self.os_costs(pu).syscall);
         let st = self.inner.state.lock();
-        let region = st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+        let region =
+            st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
         Self::check_bounds(offset, len, region.spec.size_bytes())?;
         let replica =
             region.replicas.get(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
+        let staging = replica.staging.borrow();
         let page_bytes = region.spec.page_bytes;
         let end = offset + len;
         let mut out = Vec::with_capacity(len as usize);
@@ -473,7 +489,7 @@ impl StateLayer {
             let page = at / page_bytes;
             let page_start = page * page_bytes;
             let to = end.min(page_start + page_bytes);
-            out.extend_from_slice(match replica.dirty.get(&page) {
+            out.extend_from_slice(match staging.dirty.get(&page) {
                 Some(copy) => &copy[(at - page_start) as usize..(to - page_start) as usize],
                 None => &replica.committed.bytes()[at as usize..to as usize],
             });
@@ -502,10 +518,11 @@ impl StateLayer {
         let (gen, uuid, master, master_daemon, my_daemon, dirty, page_bytes) = {
             let st = self.inner.state.lock();
             let region =
-                st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+                st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             let replica =
                 region.replicas.get(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
-            if replica.dirty.is_empty() {
+            let staging = replica.staging.borrow();
+            if staging.dirty.is_empty() {
                 return Ok(replica.version);
             }
             let master_daemon = region.replicas.get(&region.master).expect("master replica").daemon;
@@ -515,7 +532,7 @@ impl StateLayer {
                 region.master,
                 master_daemon,
                 replica.daemon,
-                replica.dirty.clone(),
+                staging.dirty.clone(),
                 region.spec.page_bytes,
             )
         };
@@ -546,8 +563,11 @@ impl StateLayer {
         // Phase 2: merge — re-validated, since the transfer yielded.
         let version = {
             let mut st = self.inner.state.lock();
-            let region =
-                st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+            let region = st
+                .regions
+                .get_mut()
+                .get_mut(name)
+                .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             if region.gen != gen {
                 return Err(StateError::Remastered(name.into()));
             }
@@ -563,20 +583,21 @@ impl StateLayer {
             }
             region.floor += 1;
             if let Some(replica) = region.replicas.get_mut(&pu) {
+                let staging = replica.staging.get_mut();
                 // Drop exactly what was pushed; pages re-dirtied while the
                 // push was in flight stay in the working set.
                 for (page, copy) in &dirty {
-                    if replica.dirty.get(page) == Some(copy) {
-                        replica.dirty.remove(page);
+                    if staging.dirty.get(page) == Some(copy) {
+                        staging.dirty.remove(page);
                     }
                 }
                 // A clean working set releases its COW blocks. The master
                 // replica *is* the commit; a remote committer's cache keeps
                 // its old version (lazy write-back).
-                if replica.dirty.is_empty() {
+                if staging.dirty.is_empty() {
                     let os = self.inner.cluster.machine().os(pu).cloned();
                     if let Some(os) = os {
-                        for (writer, b) in replica.dirty_blocks.drain(..) {
+                        for (writer, b) in staging.blocks.drain(..) {
                             let _ = os.unmap(writer, b);
                         }
                     }
@@ -620,7 +641,7 @@ impl StateLayer {
         let (gen, uuid, master, master_daemon, my_daemon, payload, version) = {
             let st = self.inner.state.lock();
             let region =
-                st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+                st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             let replica =
                 region.replicas.get(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?;
             let master_replica = region.replicas.get(&region.master).expect("master replica");
@@ -651,8 +672,11 @@ impl StateLayer {
         }
         {
             let mut st = self.inner.state.lock();
-            let region =
-                st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+            let region = st
+                .regions
+                .get_mut()
+                .get_mut(name)
+                .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             if region.gen != gen {
                 return Err(StateError::Remastered(name.into()));
             }
@@ -701,15 +725,18 @@ impl StateLayer {
         let (gen, master) = {
             let st = self.inner.state.lock();
             let region =
-                st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+                st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             Self::check_bounds(offset, 8, region.spec.size_bytes())?;
             (region.gen, region.master)
         };
         // One small RPC to the master's shim; the fault plane shapes it.
         self.inner.cluster.probe_pu(ctx, pu, master)?;
         let mut st = self.inner.state.lock();
-        let region =
-            st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+        let region = st
+            .regions
+            .get_mut()
+            .get_mut(name)
+            .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
         if region.gen != gen {
             return Err(StateError::Remastered(name.into()));
         }
@@ -743,8 +770,11 @@ impl StateLayer {
         ctx.sleep(self.os_costs(pu).syscall);
         let replica = {
             let mut st = self.inner.state.lock();
-            let region =
-                st.regions.get_mut(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+            let region = st
+                .regions
+                .get_mut()
+                .get_mut(name)
+                .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             if region.master == pu {
                 return Err(StateError::RegionExists(name.into()));
             }
@@ -766,7 +796,7 @@ impl StateLayer {
         let (uuid, master_daemon) = {
             let st = self.inner.state.lock();
             let region =
-                st.regions.get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
+                st.regions.get().get(name).ok_or_else(|| StateError::UnknownRegion(name.into()))?;
             (
                 region.uuid.clone(),
                 region.replicas.get(&region.master).expect("master replica").daemon,
@@ -775,7 +805,7 @@ impl StateLayer {
         self.inner.cluster.unregister_region(ctx, master_daemon, &uuid)?;
         let region = {
             let mut st = self.inner.state.lock();
-            st.regions.remove(name)
+            st.regions.get_mut().remove(name)
         };
         if let Some(region) = region {
             for (pu, replica) in region.replicas {
@@ -789,7 +819,7 @@ impl StateLayer {
 
     fn release_replica(&self, pu: PuId, replica: Replica) {
         if let Some(os) = self.inner.cluster.machine().os(pu) {
-            for (writer, b) in &replica.dirty_blocks {
+            for (writer, b) in &replica.staging.into_inner().blocks {
                 let _ = os.unmap(*writer, *b);
             }
             let _ = os.exit_process(replica.host_pid);
@@ -816,10 +846,11 @@ impl StateLayer {
         let mut lost: Vec<String> = Vec::new();
         {
             let mut st = self.inner.state.lock();
-            let mut names: Vec<String> = st.regions.keys().cloned().collect();
+            let regions = st.regions.get_mut();
+            let mut names: Vec<String> = regions.keys().cloned().collect();
             names.sort();
             for name in names {
-                let region = st.regions.get_mut(&name).expect("listed above");
+                let region = regions.get_mut(&name).expect("listed above");
                 if let Some(replica) = region.replicas.remove(&dead) {
                     // The dead OS object still balances its ledger.
                     self.release_replica(dead, replica);
@@ -852,7 +883,7 @@ impl StateLayer {
                 }
             }
             for name in &lost {
-                st.regions.remove(name);
+                regions.remove(name);
             }
         }
         for (name, pu) in dropped_hosts {
@@ -867,7 +898,7 @@ impl StateLayer {
         for (name, new_master) in remaster {
             let (uuid, daemon, peers) = {
                 let st = self.inner.state.lock();
-                let Some(region) = st.regions.get(&name) else { continue };
+                let Some(region) = st.regions.get().get(&name) else { continue };
                 let daemon = region.replicas[&new_master].daemon;
                 let peers: Vec<XpuPid> = region
                     .replicas
@@ -883,7 +914,7 @@ impl StateLayer {
             };
             {
                 let mut st = self.inner.state.lock();
-                if let Some(region) = st.regions.get_mut(&name) {
+                if let Some(region) = st.regions.get_mut().get_mut(&name) {
                     region.guard = guard;
                 }
             }
@@ -904,10 +935,11 @@ impl StateLayer {
     /// is memoized, so only caches changed since the previous snapshot are
     /// hashed.
     pub fn snapshot(&self) -> StateSnapshot {
-        let mut st = self.inner.state.lock();
+        let st = self.inner.state.lock();
         let mut regions: Vec<RegionStateSnapshot> = st
             .regions
-            .iter_mut()
+            .get()
+            .iter()
             .map(|(name, r)| RegionStateSnapshot {
                 name: name.clone(),
                 uuid: r.uuid.clone(),
@@ -917,7 +949,7 @@ impl StateLayer {
                 floor: r.floor,
                 replicas: r
                     .replicas
-                    .iter_mut()
+                    .iter()
                     .map(|(pu, replica)| ReplicaSnapshot {
                         pu: *pu,
                         version: replica.version,
@@ -928,5 +960,13 @@ impl StateLayer {
             .collect();
         regions.sort_by(|a, b| a.name.cmp(&b.name));
         StateSnapshot { regions }
+    }
+
+    /// The mutation epoch of everything [`snapshot`](Self::snapshot) reads:
+    /// region metadata, replica versions and committed caches. It moves on
+    /// every change to them; the single-flight gates and the uncommitted
+    /// writes [`write`](Self::write) stages change without moving it.
+    pub fn epoch(&self) -> u64 {
+        self.inner.state.lock().regions.epoch()
     }
 }

@@ -402,7 +402,8 @@ impl CapTable {
 
     /// Every `(process, object, permission)` triple currently in the table,
     /// sorted — a deterministic flattening for snapshot-based invariant
-    /// oracles (simcheck walks this after every engine step).
+    /// oracles (simcheck walks this after every engine step that changed
+    /// the cluster).
     pub fn entries(&self) -> Vec<(XpuPid, ObjId, Perm)> {
         let mut out: Vec<(XpuPid, ObjId, Perm)> = self
             .groups

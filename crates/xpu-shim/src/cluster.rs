@@ -16,6 +16,7 @@
 //! * **lazy synchronization** — UUID reclamation after `xfifo_close` is
 //!   queued and flushed in batches.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -34,6 +35,7 @@ use crate::error::ShimError;
 use crate::fifo::{FifoMsg, FifoPayload, XpuFifoReader, XpuFifoWriter};
 use crate::id::{GlobalUuid, ObjId, XpuPid};
 use crate::segment::{SegDescriptor, SegmentArena};
+use crate::watched::Watched;
 use crate::xcall::{bucket_representative, payload_bucket, XcallTransport};
 
 /// How long an XPUcall waits on an unresponsive peer before surfacing
@@ -191,7 +193,8 @@ pub struct RegionSnapshot {
 
 /// A deterministic, fully-sorted snapshot of the cluster's control-plane
 /// state, taken atomically under the state lock. This is what simcheck's
-/// invariant oracles inspect after every engine step: every collection is
+/// invariant oracles inspect after every engine step that moved
+/// [`ShimCluster::epoch`]: every collection is
 /// sorted so two snapshots of identical state compare equal bit-for-bit
 /// regardless of `HashMap` iteration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,8 +231,10 @@ struct FifoEntry {
     tx: SimSender<FifoMsg>,
     /// Latest scheduled arrival into this FIFO: a later (cheaper — coalesced
     /// or descriptor-carrying) write is clamped to arrive no earlier, so the
-    /// adaptive data plane can never reorder a FIFO's messages.
-    last_arrival: SimTime,
+    /// adaptive data plane can never reorder a FIFO's messages. A `Cell`:
+    /// the write path updates it through the shared accessor, since no
+    /// snapshot reads it.
+    last_arrival: Cell<SimTime>,
 }
 
 /// A registered shared-state region: the guard object plus the process that
@@ -241,28 +246,40 @@ struct RegionEntry {
     owner: XpuPid,
 }
 
-struct ClusterState {
+/// The control-plane state [`ShimCluster::snapshot`] reads. It lives behind
+/// a [`Watched`], so every change to it moves the cluster's mutation epoch.
+struct ControlPlane {
     caps: CapTable,
-    next_local: HashMap<PuId, u32>,
     fifos: HashMap<GlobalUuid, FifoEntry>,
     regions: HashMap<GlobalUuid, RegionEntry>,
     lazy_queue: Vec<GlobalUuid>,
-    stats: ShimStats,
-    next_key: u64,
     /// UUIDs already reclaimed through the crash path — the guard that makes
     /// reclamation exactly-once even when the UUID-free message duplicates.
     reclaimed: HashSet<GlobalUuid>,
+    /// Reclamations performed; the oracle demands it equal
+    /// `reclaimed.len()`. Reported as [`ShimStats::reclaimed_uuids`].
+    reclaimed_count: u64,
     /// Per-PU index over `fifos` (keyed by owner PU): the crash sweep reads
     /// the dead PU's own UUID set instead of filtering every live FIFO.
     fifos_by_pu: HashMap<PuId, HashSet<GlobalUuid>>,
     /// Per-PU index over `regions`, same purpose.
     regions_by_pu: HashMap<PuId, HashSet<GlobalUuid>>,
+}
+
+struct ClusterState {
+    cp: Watched<ControlPlane>,
+    // Bookkeeping no snapshot reads; changing it leaves the epoch alone.
+    next_local: HashMap<PuId, u32>,
+    /// Traffic counters (`reclaimed_uuids` excepted: it is the control
+    /// plane's `reclaimed_count`).
+    stats: ShimStats,
+    next_key: u64,
     /// When each (source, destination) link's doorbell last rang: writes
     /// landing within the coalescing window of the ring share that wakeup.
     doorbells: HashMap<(PuId, PuId), SimTime>,
 }
 
-impl ClusterState {
+impl ControlPlane {
     /// All `fifos`/`regions` mutations go through these four helpers so the
     /// per-PU indices can never drift from the primary maps.
     fn insert_fifo(&mut self, uuid: GlobalUuid, entry: FifoEntry) {
@@ -359,16 +376,19 @@ impl ShimCluster {
                 config,
                 gp_pus,
                 state: Mutex::new(ClusterState {
-                    caps: CapTable::new(),
+                    cp: Watched::new(ControlPlane {
+                        caps: CapTable::new(),
+                        fifos: HashMap::new(),
+                        regions: HashMap::new(),
+                        lazy_queue: Vec::new(),
+                        reclaimed: HashSet::new(),
+                        reclaimed_count: 0,
+                        fifos_by_pu: HashMap::new(),
+                        regions_by_pu: HashMap::new(),
+                    }),
                     next_local: HashMap::new(),
-                    fifos: HashMap::new(),
-                    regions: HashMap::new(),
-                    lazy_queue: Vec::new(),
                     stats: ShimStats::default(),
                     next_key: 0,
-                    reclaimed: HashSet::new(),
-                    fifos_by_pu: HashMap::new(),
-                    regions_by_pu: HashMap::new(),
                     doorbells: HashMap::new(),
                 }),
                 arenas,
@@ -408,17 +428,36 @@ impl ShimCluster {
     pub fn stats(&self) -> ShimStats {
         let st = self.inner.state.lock();
         let mut stats = st.stats;
-        stats.lazy_pending = st.lazy_queue.len() as u64;
+        stats.lazy_pending = st.cp.get().lazy_queue.len() as u64;
+        stats.reclaimed_uuids = st.cp.get().reclaimed_count;
         stats
+    }
+
+    /// The mutation epoch of everything [`snapshot`](Self::snapshot) reads:
+    /// the control plane and every node arena. It moves on every change to
+    /// that state. Between two steps where it stays put, a snapshot would
+    /// come out identical, which is what lets the invariant oracles skip
+    /// such steps.
+    pub fn epoch(&self) -> u64 {
+        let arenas: u64 = self.inner.arenas.iter().map(SegmentArena::epoch).sum();
+        self.inner.state.lock().cp.epoch() + arenas
     }
 
     /// Takes a deterministic [`ClusterSnapshot`] of the control-plane state.
     ///
-    /// The capability table, FIFO registry, reclamation set and lazy queue
-    /// are read under one lock acquisition, so the snapshot is a consistent
-    /// cut; the segment arena is sampled right after (it has its own lock,
-    /// and only the scheduler thread mutates between engine steps — which is
-    /// when the invariant oracles call this).
+    /// The capability table, FIFO and region registries, reclamation set and
+    /// lazy queue are read under one lock acquisition; the node arenas are
+    /// sampled right after, each under its own lock. A simulation runs on
+    /// one thread and the invariant oracles call this from the engine's step
+    /// observer, which runs between fiber switches, so no simulated process
+    /// is mid-operation and the two reads form a consistent cut.
+    ///
+    /// Everything read here moves [`epoch`](Self::epoch) when it changes:
+    /// the capability table, each FIFO's and region's guard object and
+    /// owner, the reclaimed set and its count, the lazy queue, and the
+    /// arenas' parked slots. What it leaves out — the doorbell map, each
+    /// FIFO's last scheduled arrival and the traffic counters in
+    /// [`ShimStats`] — changes without moving the epoch.
     pub fn snapshot(&self) -> ClusterSnapshot {
         let (
             caps,
@@ -432,7 +471,8 @@ impl ShimCluster {
             lazy_pending,
             reclaimed_count,
         ) = {
-            let st = self.inner.state.lock();
+            let guard = self.inner.state.lock();
+            let st = guard.cp.get();
             let mut fifos: Vec<FifoSnapshot> = st
                 .fifos
                 .iter()
@@ -459,7 +499,7 @@ impl ShimCluster {
                 regions,
                 reclaimed,
                 lazy_pending,
-                st.stats.reclaimed_uuids,
+                st.reclaimed_count,
             )
         };
         ClusterSnapshot {
@@ -761,8 +801,9 @@ impl ShimCluster {
     fn sync_lazy(&self, ctx: &mut ProcCtx, from: PuId, uuid: GlobalUuid) {
         let flush = {
             let mut st = self.inner.state.lock();
-            st.lazy_queue.push(uuid);
-            st.lazy_queue.len() >= self.inner.config.lazy_batch
+            let queue = &mut st.cp.get_mut().lazy_queue;
+            queue.push(uuid);
+            queue.len() >= self.inner.config.lazy_batch
         };
         if flush {
             self.flush_lazy(ctx, from);
@@ -773,10 +814,11 @@ impl ShimCluster {
     pub fn flush_lazy(&self, ctx: &mut ProcCtx, from: PuId) {
         {
             let mut st = self.inner.state.lock();
-            if st.lazy_queue.is_empty() {
+            let queue = &mut st.cp.get_mut().lazy_queue;
+            if queue.is_empty() {
                 return;
             }
-            st.lazy_queue.clear();
+            queue.clear();
             st.stats.lazy_flushes += 1;
             st.stats.sync_messages += (self.inner.gp_pus.len() as u64).saturating_sub(1);
         }
@@ -815,17 +857,17 @@ impl ShimCluster {
         let counter = st.next_local.entry(pu).or_insert(0);
         *counter += 1;
         let pid = XpuPid { pu, local: *counter };
-        st.caps.register_process_for(pid, tenant);
+        st.cp.get_mut().caps.register_process_for(pid, tenant);
         pid
     }
 
     /// The tenant domain `pid` was attached into.
     pub fn tenant_of(&self, pid: XpuPid) -> TenantId {
-        self.inner.state.lock().caps.tenant_of(pid)
+        self.inner.state.lock().cp.get().caps.tenant_of(pid)
     }
 
     pub(crate) fn detach_process(&self, pid: XpuPid) {
-        self.inner.state.lock().caps.remove_process(pid);
+        self.inner.state.lock().cp.get_mut().caps.remove_process(pid);
     }
 
     pub(crate) fn grant_cap(
@@ -838,7 +880,7 @@ impl ShimCluster {
         perm: Perm,
     ) -> Result<(), ShimError> {
         self.charge_xpucall(ctx, host, host, 32)?;
-        if let Err(e) = self.inner.state.lock().caps.grant(actor, to, obj, perm) {
+        if let Err(e) = self.inner.state.lock().cp.get_mut().caps.grant(actor, to, obj, perm) {
             if let CapError::TenantMismatch { owner, .. } = e {
                 telemetry::counter_add_tenant("shim.tenant_denied", owner.raw(), 1);
             }
@@ -860,13 +902,13 @@ impl ShimCluster {
         perm: Perm,
     ) -> Result<(), ShimError> {
         self.charge_xpucall(ctx, host, host, 32)?;
-        self.inner.state.lock().caps.revoke(actor, from, obj, perm)?;
+        self.inner.state.lock().cp.get_mut().caps.revoke(actor, from, obj, perm)?;
         self.sync_immediate(ctx, host);
         Ok(())
     }
 
     pub(crate) fn perm_of(&self, pid: XpuPid, obj: ObjId) -> Perm {
-        self.inner.state.lock().caps.perm(pid, obj)
+        self.inner.state.lock().cp.get().caps.perm(pid, obj)
     }
 
     pub(crate) fn fifo_init(
@@ -880,18 +922,19 @@ impl ShimCluster {
         let (tx, rx) = ctx.channel::<FifoMsg>();
         {
             let mut st = self.inner.state.lock();
-            if st.fifos.contains_key(&uuid) {
+            let cp = st.cp.get_mut();
+            if cp.fifos.contains_key(&uuid) {
                 return Err(ShimError::UuidTaken(uuid));
             }
-            let obj = st.caps.create_object(caller, ObjKind::Ipc)?;
-            st.insert_fifo(
+            let obj = cp.caps.create_object(caller, ObjKind::Ipc)?;
+            cp.insert_fifo(
                 uuid.clone(),
-                FifoEntry { obj, owner: caller, tx, last_arrival: SimTime::ZERO },
+                FifoEntry { obj, owner: caller, tx, last_arrival: Cell::new(SimTime::ZERO) },
             );
         }
         // The UUID must be globally unique, so init synchronizes immediately.
         self.sync_immediate(ctx, host);
-        let obj = self.inner.state.lock().fifos[&uuid].obj;
+        let obj = self.inner.state.lock().cp.get().fifos[&uuid].obj;
         Ok(XpuFifoReader { cluster: self.clone(), uuid, obj, owner: caller, rx })
     }
 
@@ -903,7 +946,8 @@ impl ShimCluster {
         uuid: &GlobalUuid,
     ) -> Result<XpuFifoWriter, ShimError> {
         self.charge_xpucall(ctx, host, host, uuid.as_str().len() as u64)?;
-        let st = self.inner.state.lock();
+        let guard = self.inner.state.lock();
+        let st = guard.cp.get();
         let entry = st.fifos.get(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
         // §3.2: "a process can only connect to an XPU-FIFO ... when it has
         // read or write permission" (owners connect to their own FIFOs).
@@ -934,7 +978,8 @@ impl ShimCluster {
         let from = writer.connected_as.pu;
         let to = writer.owner_pu;
         let tx = {
-            let st = self.inner.state.lock();
+            let guard = self.inner.state.lock();
+            let st = guard.cp.get();
             // Re-check permission so revocation takes effect immediately.
             let perm = st.caps.perm(writer.connected_as, writer.obj);
             if !perm.intersects(Perm::WRITE | Perm::OWNER) {
@@ -1035,16 +1080,14 @@ impl ShimCluster {
         // order holds under any same-instant tie-break, not just the default
         // sequence-number one (simcheck shuffles those ties).
         let in_flight = {
-            let mut st = self.inner.state.lock();
-            match st.fifos.get_mut(&writer.uuid) {
+            let st = self.inner.state.lock();
+            match st.cp.get().fifos.get(&writer.uuid) {
                 Some(entry) => {
                     let natural = ctx.now() + in_flight;
-                    let arrival = if natural > entry.last_arrival {
-                        natural
-                    } else {
-                        entry.last_arrival + SimDuration::from_nanos(1)
-                    };
-                    entry.last_arrival = arrival;
+                    let last = entry.last_arrival.get();
+                    let arrival =
+                        if natural > last { natural } else { last + SimDuration::from_nanos(1) };
+                    entry.last_arrival.set(arrival);
                     arrival - ctx.now()
                 }
                 None => in_flight,
@@ -1152,8 +1195,9 @@ impl ShimCluster {
         self.charge_xpucall(ctx, owner.pu, owner.pu, 8)?;
         {
             let mut st = self.inner.state.lock();
-            let entry = st.remove_fifo(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
-            st.caps.destroy_object(entry.obj)?;
+            let cp = st.cp.get_mut();
+            let entry = cp.remove_fifo(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
+            cp.caps.destroy_object(entry.obj)?;
         }
         // Any zero-copy slots still parked for this FIFO (descriptor sent
         // but never read) are freed with it, on every node's arena.
@@ -1184,14 +1228,15 @@ impl ShimCluster {
         self.charge_xpucall(ctx, owner.pu, owner.pu, uuid.as_str().len() as u64)?;
         let obj = {
             let mut st = self.inner.state.lock();
-            if st.fifos.contains_key(&uuid)
-                || st.regions.contains_key(&uuid)
-                || st.reclaimed.contains(&uuid)
+            let cp = st.cp.get_mut();
+            if cp.fifos.contains_key(&uuid)
+                || cp.regions.contains_key(&uuid)
+                || cp.reclaimed.contains(&uuid)
             {
                 return Err(ShimError::UuidTaken(uuid));
             }
-            let obj = st.caps.create_object(owner, ObjKind::Region)?;
-            st.insert_region(uuid.clone(), RegionEntry { obj, owner });
+            let obj = cp.caps.create_object(owner, ObjKind::Region)?;
+            cp.insert_region(uuid.clone(), RegionEntry { obj, owner });
             obj
         };
         self.sync_immediate(ctx, owner.pu);
@@ -1215,10 +1260,11 @@ impl ShimCluster {
         self.charge_xpucall(ctx, caller.pu, caller.pu, 8)?;
         {
             let mut st = self.inner.state.lock();
-            let entry = st.regions.get(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
-            st.caps.check(caller, entry.obj, Perm::OWNER)?;
-            let entry = st.remove_region(uuid).expect("checked above");
-            st.caps.destroy_object(entry.obj)?;
+            let cp = st.cp.get_mut();
+            let entry = cp.regions.get(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
+            cp.caps.check(caller, entry.obj, Perm::OWNER)?;
+            let entry = cp.remove_region(uuid).expect("checked above");
+            cp.caps.destroy_object(entry.obj)?;
         }
         self.reclaim_fifo_segments(uuid);
         self.sync_lazy(ctx, caller.pu, uuid.clone());
@@ -1249,7 +1295,8 @@ impl ShimCluster {
     ) -> Result<Option<SegDescriptor>, ShimError> {
         let size = payload.len() as u64;
         {
-            let st = self.inner.state.lock();
+            let guard = self.inner.state.lock();
+            let st = guard.cp.get();
             let entry = st.regions.get(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
             let perm = st.caps.perm(from, entry.obj);
             if !perm.intersects(Perm::WRITE | Perm::OWNER) {
@@ -1332,7 +1379,8 @@ impl ShimCluster {
         desc: &SegDescriptor,
     ) -> Result<Bytes, ShimError> {
         {
-            let st = self.inner.state.lock();
+            let guard = self.inner.state.lock();
+            let st = guard.cp.get();
             let entry = st.regions.get(uuid).ok_or_else(|| ShimError::UnknownUuid(uuid.clone()))?;
             let perm = st.caps.perm(by, entry.obj);
             if !perm.intersects(Perm::READ | Perm::OWNER) {
@@ -1386,10 +1434,11 @@ impl ShimCluster {
         let child = self.attach_process_as(target, target, self.tenant_of(caller));
         // No implicit permission inheritance: only the explicit capv is
         // granted (§3.4).
-        {
+        if !capv.is_empty() {
             let mut st = self.inner.state.lock();
+            let caps = &mut st.cp.get_mut().caps;
             for &(obj, perm) in capv {
-                st.caps.grant(caller, child, obj, perm)?;
+                caps.grant(caller, child, obj, perm)?;
             }
         }
         if !capv.is_empty() {
@@ -1493,7 +1542,8 @@ impl ShimCluster {
         let t0 = ctx.now();
         let host = self.inner.machine.host_cpu();
         let (pids, uuids, region_uuids) = {
-            let st = self.inner.state.lock();
+            let guard = self.inner.state.lock();
+            let st = guard.cp.get();
             let pids = st.caps.pids_on(dead);
             let mut uuids: Vec<GlobalUuid> =
                 st.fifos_by_pu.get(&dead).map(|s| s.iter().cloned().collect()).unwrap_or_default();
@@ -1516,9 +1566,10 @@ impl ShimCluster {
         for chunk in pids.chunks(batch) {
             {
                 let mut st = self.inner.state.lock();
+                let caps = &mut st.cp.get_mut().caps;
                 for pid in chunk {
-                    caps_dropped += st.caps.group(*pid).map_or(0, |g| g.len());
-                    st.caps.remove_process(*pid);
+                    caps_dropped += caps.group(*pid).map_or(0, |g| g.len());
+                    caps.remove_process(*pid);
                 }
             }
             processed += chunk.len();
@@ -1607,21 +1658,22 @@ impl ShimCluster {
 
     fn reclaim_uuid_inner(&self, uuid: &GlobalUuid) -> bool {
         let mut st = self.inner.state.lock();
-        if !st.reclaimed.insert(uuid.clone()) {
+        let cp = st.cp.get_mut();
+        if !cp.reclaimed.insert(uuid.clone()) {
             return false; // duplicate UUID-free message: already handled
         }
-        if let Some(entry) = st.remove_fifo(uuid) {
+        if let Some(entry) = cp.remove_fifo(uuid) {
             // The owner may already be unregistered; destroying the object
             // is what revokes stale writer capabilities everywhere.
-            let _ = st.caps.destroy_object(entry.obj);
+            let _ = cp.caps.destroy_object(entry.obj);
         }
         // A state region shares the UUID namespace and the arena: its guard
         // object and any payload slots still parked for it go with the same
         // sweep, so snapshot slot-balance accounting stays exact.
-        if let Some(entry) = st.remove_region(uuid) {
-            let _ = st.caps.destroy_object(entry.obj);
+        if let Some(entry) = cp.remove_region(uuid) {
+            let _ = cp.caps.destroy_object(entry.obj);
         }
-        st.stats.reclaimed_uuids += 1;
+        cp.reclaimed_count += 1;
         drop(st);
         self.reclaim_fifo_segments(uuid);
         true
@@ -1629,23 +1681,23 @@ impl ShimCluster {
 
     /// True if `pid` still has a `CAP_Group`.
     pub fn has_process(&self, pid: XpuPid) -> bool {
-        self.inner.state.lock().caps.has_process(pid)
+        self.inner.state.lock().cp.get().caps.has_process(pid)
     }
 
     /// Number of capabilities `pid` currently holds (`None` if it has no
     /// `CAP_Group`).
     pub fn cap_count(&self, pid: XpuPid) -> Option<usize> {
-        self.inner.state.lock().caps.group(pid).map(|g| g.len())
+        self.inner.state.lock().cp.get().caps.group(pid).map(|g| g.len())
     }
 
     /// True while the FIFO exists (created and neither closed nor reclaimed).
     pub fn fifo_exists(&self, uuid: &GlobalUuid) -> bool {
-        self.inner.state.lock().fifos.contains_key(uuid)
+        self.inner.state.lock().cp.get().fifos.contains_key(uuid)
     }
 
     /// Registered processes on `pu`, in pid order.
     pub fn pids_on(&self, pu: PuId) -> Vec<XpuPid> {
-        self.inner.state.lock().caps.pids_on(pu)
+        self.inner.state.lock().cp.get().caps.pids_on(pu)
     }
 }
 

@@ -21,7 +21,9 @@
 //!   hand-off: the FIFO carries a capability-guarded descriptor while the
 //!   bytes cross the link once (Fig. 13's data retention, generalized);
 //! * [`cluster`] — the deployed shim cluster, including `xSpawn` and the
-//!   three synchronization strategies (static partition / immediate / lazy).
+//!   three synchronization strategies (static partition / immediate / lazy);
+//! * [`watched`] — mutation epochs, which let the invariant oracles skip
+//!   the engine steps that changed nothing they read.
 //!
 //! # Examples
 //!
@@ -56,6 +58,7 @@ pub mod error;
 pub mod fifo;
 pub mod id;
 pub mod segment;
+pub mod watched;
 pub mod xcall;
 
 pub use cap::Perm;
@@ -68,4 +71,5 @@ pub use fifo::{XpuFifoReader, XpuFifoWriter};
 pub use id::{GlobalUuid, ObjId, XpuPid};
 pub use molecule_tenancy::TenantId;
 pub use segment::SegDescriptor;
+pub use watched::Watched;
 pub use xcall::XcallTransport;

@@ -21,6 +21,7 @@ use parking_lot::Mutex;
 
 use crate::error::ShimError;
 use crate::id::GlobalUuid;
+use crate::watched::Watched;
 
 /// A capability-guarded reference to a payload parked in a shared-segment
 /// slot. This is what travels through the FIFO instead of the payload.
@@ -63,10 +64,11 @@ struct ArenaState {
 }
 
 /// The cluster-wide arena of shared-segment slots, keyed by slot id and
-/// guarded by per-slot capability tokens.
+/// guarded by per-slot capability tokens. Every place, reclaim and
+/// successful resolve moves the arena's mutation [`epoch`](Self::epoch).
 #[derive(Default)]
 pub(crate) struct SegmentArena {
-    inner: Mutex<ArenaState>,
+    inner: Mutex<Watched<ArenaState>>,
 }
 
 /// SplitMix64: turns the sequential slot counter into an unguessable-looking
@@ -88,7 +90,8 @@ impl SegmentArena {
         fifo: GlobalUuid,
         bytes: Bytes,
     ) -> SegDescriptor {
-        let mut st = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let st = guard.get_mut();
         let slot = st.next_slot;
         st.next_slot += 1;
         st.next_token += 1;
@@ -113,27 +116,34 @@ impl SegmentArena {
     ) -> Result<Bytes, ShimError> {
         let mut st = self.inner.lock();
         let ok = st
+            .get()
             .slots
             .get(&desc.slot)
             .is_some_and(|slot| slot.token == desc.token && slot.fifo == *fifo);
         if !ok {
             return Err(ShimError::BadDescriptor);
         }
-        Ok(st.slots.remove(&desc.slot).expect("checked above").bytes)
+        Ok(st.get_mut().slots.remove(&desc.slot).expect("checked above").bytes)
     }
 
     /// Frees every slot parked for `fifo` (close or crash reclamation) and
     /// returns how many were dropped.
     pub(crate) fn reclaim_fifo(&self, fifo: &GlobalUuid) -> usize {
         let mut st = self.inner.lock();
-        let before = st.slots.len();
-        st.slots.retain(|_, slot| slot.fifo != *fifo);
-        before - st.slots.len()
+        let slots = &mut st.get_mut().slots;
+        let before = slots.len();
+        slots.retain(|_, slot| slot.fifo != *fifo);
+        before - slots.len()
     }
 
     /// Slots currently parked and not yet resolved.
     pub(crate) fn outstanding(&self) -> usize {
-        self.inner.lock().slots.len()
+        self.inner.lock().get().slots.len()
+    }
+
+    /// The mutation epoch of the parked slots.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.inner.lock().epoch()
     }
 
     /// Parked-slot counts per FIFO, sorted by UUID — deterministic input for
@@ -141,7 +151,7 @@ impl SegmentArena {
     pub(crate) fn parked_by_fifo(&self) -> Vec<(GlobalUuid, usize)> {
         let st = self.inner.lock();
         let mut counts: HashMap<&GlobalUuid, usize> = HashMap::new();
-        for slot in st.slots.values() {
+        for slot in st.get().slots.values() {
             *counts.entry(&slot.fifo).or_default() += 1;
         }
         let mut out: Vec<(GlobalUuid, usize)> =
@@ -153,7 +163,7 @@ impl SegmentArena {
     /// Slots currently parked on the `from → to` link.
     #[cfg(test)]
     pub(crate) fn outstanding_on(&self, from: PuId, to: PuId) -> usize {
-        self.inner.lock().slots.values().filter(|s| s.link == (from, to)).count()
+        self.inner.lock().get().slots.values().filter(|s| s.link == (from, to)).count()
     }
 }
 
@@ -200,6 +210,25 @@ mod tests {
         assert_eq!(arena.reclaim_fifo(&uuid(2)), 1);
         assert_eq!(arena.outstanding(), 1);
         assert!(arena.resolve(&uuid(1), &d1).is_ok());
+    }
+
+    #[test]
+    fn slot_changes_move_the_epoch_and_reads_do_not() {
+        let arena = SegmentArena::default();
+        let d = arena.place(PuId(1), PuId(0), uuid(1), Bytes::from_static(b"a"));
+        let placed = arena.epoch();
+        assert!(placed > 0);
+        // Reads and a rejected resolve change no slot.
+        let forged = SegDescriptor { token: d.token ^ 1, ..d.clone() };
+        assert!(arena.resolve(&uuid(1), &forged).is_err());
+        assert_eq!((arena.outstanding(), arena.parked_by_fifo().len()), (1, 1));
+        assert_eq!(arena.epoch(), placed);
+        arena.resolve(&uuid(1), &d).unwrap();
+        let resolved = arena.epoch();
+        assert!(resolved > placed);
+        arena.place(PuId(1), PuId(0), uuid(2), Bytes::from_static(b"b"));
+        arena.reclaim_fifo(&uuid(2));
+        assert!(arena.epoch() > resolved + 1);
     }
 
     #[test]
