@@ -10,6 +10,10 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc stage: every intra-doc link resolves, and none points at a
+# private item or is ambiguous.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Benchmark build-contract stage: the benchmark package (its own workspace
 # under benchmark/) must stay formatted and lint-clean against the repo's
 # current public APIs, and `--locked` fails if a repo change would rewrite

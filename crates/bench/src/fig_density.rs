@@ -13,7 +13,7 @@
 //! * **Invoke latency** — p99 of a compute + I/O function at a concurrency
 //!   that scales with density. Inline, the I/O phase queues on the host's
 //!   few shepherding slots; offloaded, it fans out over a
-//!   [`ProxyPool`](molecule_core::proxy::ProxyPool) of DPU proxies. CI
+//!   [`ProxyPool`] of DPU proxies. CI
 //!   gates the offloaded p99 at 10k to ≤ 1.2x its 100-sandbox point, and
 //!   lost requests (issued but neither completed nor reclaimed) to zero.
 //! * **Reclaim sweep** — kill a DPU holding the density's worth of resident

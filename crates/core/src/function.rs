@@ -250,7 +250,7 @@ impl FunctionBuilder {
 /// The platform's function registry (what the API gateway deploys from).
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    inner: Arc<Mutex<HashMap<FuncId, FunctionDef>>>,
+    inner: Arc<Mutex<HashMap<FuncId, Arc<FunctionDef>>>>,
 }
 
 impl fmt::Debug for FunctionRegistry {
@@ -265,13 +265,17 @@ impl FunctionRegistry {
         FunctionRegistry::default()
     }
 
-    /// Registers (or replaces) a function.
+    /// Registers (or replaces) a function. A replacement does not touch
+    /// definitions already handed out by [`get`](Self::get): holders keep
+    /// the version they looked up.
     pub fn register(&self, def: FunctionDef) {
-        self.inner.lock().insert(def.id.clone(), def);
+        self.inner.lock().insert(def.id.clone(), Arc::new(def));
     }
 
-    /// Looks up a function.
-    pub fn get(&self, id: &FuncId) -> Option<FunctionDef> {
+    /// Looks up a function. The definition is shared, not copied: a lookup
+    /// costs one reference-count bump, whatever the definition's profiles,
+    /// regions and kernel hold.
+    pub fn get(&self, id: &FuncId) -> Option<Arc<FunctionDef>> {
         self.inner.lock().get(id).cloned()
     }
 
@@ -353,7 +357,7 @@ mod tests {
         reg.register(def.clone());
         reg.register(FunctionDef::builder("b", LangRuntime::NodeJs).build());
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.get(&"a".into()), Some(def));
+        assert_eq!(reg.get(&"a".into()).as_deref(), Some(&def));
         assert_eq!(reg.ids(), vec![FuncId::new("a"), FuncId::new("b")]);
         assert_eq!(reg.get(&"zzz".into()), None);
     }

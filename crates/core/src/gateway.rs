@@ -78,8 +78,10 @@ pub struct GatewayStats {
 }
 
 struct GatewayState {
-    /// Idle warm instances per (function, PU).
-    idle: HashMap<(FuncId, PuId), Vec<InstanceId>>,
+    /// Idle warm instances per PU, then per function: a request's pool
+    /// lookup borrows its `FuncId` instead of building a key, and the
+    /// dead-PU purge drops a PU's pools with one removal.
+    idle: HashMap<PuId, HashMap<FuncId, Vec<InstanceId>>>,
     /// Every live instance the gateway created, with its function.
     owned: HashMap<InstanceId, (FuncId, PuId)>,
     /// Per-PU ownership index: the dead-PU purge reads the crashed PU's own
@@ -89,9 +91,6 @@ struct GatewayState {
     /// Live-instance count per function: "does this function still have a
     /// survivor anywhere?" is one lookup, not a scan of `owned`.
     live_funcs: HashMap<FuncId, usize>,
-    /// Functions with an idle pool entry per PU — the purge's idle-pool
-    /// sweep, again O(pools on the dead PU).
-    idle_by_pu: HashMap<PuId, HashSet<FuncId>>,
     /// PUs requests must not be routed to (crashed or circuit-open), kept
     /// sorted for deterministic placement.
     avoid: std::collections::BTreeSet<PuId>,
@@ -125,21 +124,9 @@ impl GatewayState {
         Some((func, pu))
     }
 
-    /// The idle pool for `(func, pu)`, creating (and indexing) it on demand.
-    fn pool_entry(&mut self, func: &FuncId, pu: PuId) -> &mut Vec<InstanceId> {
-        self.idle_by_pu.entry(pu).or_default().insert(func.clone());
-        self.idle.entry((func.clone(), pu)).or_default()
-    }
-
-    /// Removes an idle pool key and its reverse-index entry.
-    fn drop_pool(&mut self, func: &FuncId, pu: PuId) {
-        self.idle.remove(&(func.clone(), pu));
-        if let Some(funcs) = self.idle_by_pu.get_mut(&pu) {
-            funcs.remove(func);
-            if funcs.is_empty() {
-                self.idle_by_pu.remove(&pu);
-            }
-        }
+    /// The idle pool for `(func, pu)`, if one exists.
+    fn pool(&self, func: &FuncId, pu: PuId) -> Option<&Vec<InstanceId>> {
+        self.idle.get(&pu)?.get(func)
     }
 }
 
@@ -181,7 +168,6 @@ impl ApiGateway {
                 owned: HashMap::new(),
                 owned_by_pu: HashMap::new(),
                 live_funcs: HashMap::new(),
-                idle_by_pu: HashMap::new(),
                 avoid: std::collections::BTreeSet::new(),
                 policy,
                 stats: GatewayStats::default(),
@@ -239,13 +225,9 @@ impl ApiGateway {
         self.regions.retract_pu(pu);
         let mut st = self.state.lock();
         st.avoid.insert(pu);
-        // Idle pools on the dead PU via the reverse index — O(pools there),
-        // not a retain over every (function, PU) pool in the gateway.
-        if let Some(funcs) = st.idle_by_pu.remove(&pu) {
-            for func in funcs {
-                st.idle.remove(&(func, pu));
-            }
-        }
+        // Idle pools on the dead PU: one removal, not a retain over every
+        // (function, PU) pool in the gateway.
+        st.idle.remove(&pu);
         let mut purged: Vec<InstanceId> =
             st.owned_by_pu.get(&pu).map(|s| s.iter().copied().collect()).unwrap_or_default();
         purged.sort();
@@ -377,8 +359,7 @@ impl ApiGateway {
             let st = self.state.lock();
             let machine = self.molecule.machine();
             def.profiles.iter().flat_map(|kind| machine.pus_of_kind(*kind)).find(|pu| {
-                !st.avoid.contains(pu)
-                    && st.idle.get(&(func.clone(), *pu)).is_some_and(|pool| !pool.is_empty())
+                !st.avoid.contains(pu) && st.pool(func, *pu).is_some_and(|pool| !pool.is_empty())
             })
         };
         let pu = match warm {
@@ -419,7 +400,7 @@ impl ApiGateway {
     }
 
     /// The registered definition of `func`.
-    fn function(&self, func: &FuncId) -> Result<FunctionDef, MoleculeError> {
+    fn function(&self, func: &FuncId) -> Result<Arc<FunctionDef>, MoleculeError> {
         self.molecule
             .registry()
             .get(func)
@@ -443,7 +424,7 @@ impl ApiGateway {
             if st.avoid.contains(&pu) {
                 return Err(MoleculeError::PuUnavailable(pu));
             }
-            st.idle.get_mut(&(func.clone(), pu)).and_then(Vec::pop)
+            st.idle.get_mut(&pu).and_then(|pools| pools.get_mut(func)).and_then(Vec::pop)
         };
         let (instance, cold) = match warm {
             Some(inst) => (inst, false),
@@ -479,7 +460,7 @@ impl ApiGateway {
             st.stats.warm_hits += 1;
         }
         st.policy.on_invoke(func, now, exec_latency, def.memory_mib as f64 / 128.0);
-        let pool = st.pool_entry(func, pu);
+        let pool = st.idle.entry(pu).or_default().entry(func.clone()).or_default();
         if pool.len() < self.config.max_warm_per_function {
             pool.push(instance);
         } else {
@@ -492,7 +473,7 @@ impl ApiGateway {
 
     /// Idle warm instances of `func` currently pooled on `pu`.
     pub fn warm_idle_count(&self, func: &FuncId, pu: PuId) -> usize {
-        self.state.lock().idle.get(&(func.clone(), pu)).map_or(0, Vec::len)
+        self.state.lock().pool(func, pu).map_or(0, Vec::len)
     }
 
     /// Tells the keep-alive policy a request for `func` was shed by an
@@ -553,23 +534,17 @@ impl ApiGateway {
             let keep: std::collections::HashSet<FuncId> =
                 st.policy.keep_set(now, self.config.keepalive_capacity).into_iter().collect();
             let mut to_retire = Vec::new();
-            for ((func, _pu), pool) in st.idle.iter_mut() {
+            for (func, pool) in st.idle.values_mut().flat_map(|pools| pools.iter_mut()) {
                 if !keep.contains(func) {
                     to_retire.append(pool);
                 }
             }
             // HashMap iteration order is arbitrary; retire deterministically.
             to_retire.sort();
-            let mut emptied: Vec<(FuncId, PuId)> = Vec::new();
-            st.idle.retain(|key, pool| {
-                if pool.is_empty() {
-                    emptied.push(key.clone());
-                }
-                !pool.is_empty()
+            st.idle.retain(|_, pools| {
+                pools.retain(|_, pool| !pool.is_empty());
+                !pools.is_empty()
             });
-            for (func, pu) in emptied {
-                st.drop_pool(&func, pu);
-            }
             for inst in &to_retire {
                 st.disown(*inst);
             }

@@ -77,9 +77,9 @@ impl fmt::Display for InstanceId {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Instance {
-    func: FunctionDef,
+    func: Arc<FunctionDef>,
     pu: PuId,
     kind: PuKind,
     sandbox: SandboxId,
@@ -309,7 +309,7 @@ impl Molecule {
         Ok(())
     }
 
-    fn lookup_function(&self, func: &FuncId) -> Result<FunctionDef, MoleculeError> {
+    fn lookup_function(&self, func: &FuncId) -> Result<Arc<FunctionDef>, MoleculeError> {
         self.inner.registry.get(func).ok_or_else(|| MoleculeError::UnknownFunction(func.clone()))
     }
 
@@ -461,7 +461,7 @@ impl Molecule {
     fn start_fpga_instance(
         &self,
         ctx: &mut ProcCtx,
-        def: &FunctionDef,
+        def: &Arc<FunctionDef>,
         pu: PuId,
     ) -> Result<StartupReport, MoleculeError> {
         let runf = self
@@ -486,7 +486,7 @@ impl Molecule {
         }
         let latency = ctx.now() - t0;
         let instance = self.register_instance(Instance {
-            func: def.clone(),
+            func: Arc::clone(def),
             pu,
             kind: PuKind::Fpga,
             sandbox,
@@ -499,7 +499,7 @@ impl Molecule {
     fn start_gpu_instance(
         &self,
         ctx: &mut ProcCtx,
-        def: &FunctionDef,
+        def: &Arc<FunctionDef>,
         pu: PuId,
     ) -> Result<StartupReport, MoleculeError> {
         let rung = self
@@ -522,7 +522,7 @@ impl Molecule {
         rung.start(ctx, &sandbox)?;
         let latency = ctx.now() - t0;
         let instance = self.register_instance(Instance {
-            func: def.clone(),
+            func: Arc::clone(def),
             pu,
             kind: PuKind::Gpu,
             sandbox,
@@ -614,59 +614,67 @@ impl Molecule {
         instance: InstanceId,
         input_bytes: u64,
     ) -> Result<InvokeReport, MoleculeError> {
-        let inst = {
+        // Copy out only what the invoke reads: the shared definition, the
+        // placement, the first-run cost still owed and, for accelerators,
+        // the sandbox their device call names.
+        let (func, pu, kind, first_run, sandbox) = {
             let st = self.inner.state.lock();
-            st.instances
-                .get(&instance)
-                .cloned()
-                .ok_or(MoleculeError::UnknownInstance(instance.0))?
+            let inst =
+                st.instances.get(&instance).ok_or(MoleculeError::UnknownInstance(instance.0))?;
+            let first_run =
+                if inst.invocations == 0 { inst.pending_first_run } else { SimDuration::ZERO };
+            let sandbox =
+                matches!(inst.kind, PuKind::Fpga | PuKind::Gpu).then(|| inst.sandbox.clone());
+            (Arc::clone(&inst.func), inst.pu, inst.kind, first_run, sandbox)
         };
         // Invoking on a crashed PU fails like a dead peer would over the
         // shim, so gateways fail over instead of billing phantom work.
-        if self.inner.machine.fault_plane().is_dead(inst.pu) {
-            return Err(MoleculeError::Shim(xpu_shim::error::ShimError::PeerDead(inst.pu)));
+        if self.inner.machine.fault_plane().is_dead(pu) {
+            return Err(MoleculeError::Shim(xpu_shim::error::ShimError::PeerDead(pu)));
         }
         let t0 = ctx.now();
-        match inst.kind {
-            PuKind::Fpga => {
-                let profile = inst.func.fpga.as_ref().ok_or_else(|| {
+        match (kind, &sandbox) {
+            (PuKind::Fpga, Some(sandbox)) => {
+                let profile = func.fpga.as_ref().ok_or_else(|| {
                     MoleculeError::Internal("fpga instance without profile".to_owned())
                 })?;
-                let runf =
-                    self.inner.runfs.get(&inst.pu).ok_or_else(|| {
-                        MoleculeError::Internal(format!("no runf on {}", inst.pu))
-                    })?;
+                let runf = self
+                    .inner
+                    .runfs
+                    .get(&pu)
+                    .ok_or_else(|| MoleculeError::Internal(format!("no runf on {pu}")))?;
                 // Arguments move host -> device over DMA.
                 let dma = self
                     .inner
                     .machine
-                    .route(self.inner.machine.host_cpu(), inst.pu)
+                    .route(self.inner.machine.host_cpu(), pu)
                     .transfer_time(input_bytes);
                 ctx.sleep(dma);
-                runf.invoke(ctx, &inst.sandbox, profile.exec.host_time(input_bytes))?;
+                runf.invoke(ctx, sandbox, profile.exec.host_time(input_bytes))?;
             }
-            PuKind::Gpu => {
-                let exec = inst.func.gpu.ok_or_else(|| {
+            (PuKind::Gpu, Some(sandbox)) => {
+                let exec = func.gpu.ok_or_else(|| {
                     MoleculeError::Internal("gpu instance without profile".to_owned())
                 })?;
-                let rung =
-                    self.inner.rungs.get(&inst.pu).ok_or_else(|| {
-                        MoleculeError::Internal(format!("no runG on {}", inst.pu))
-                    })?;
+                let rung = self
+                    .inner
+                    .rungs
+                    .get(&pu)
+                    .ok_or_else(|| MoleculeError::Internal(format!("no runG on {pu}")))?;
                 let dma = self
                     .inner
                     .machine
-                    .route(self.inner.machine.host_cpu(), inst.pu)
+                    .route(self.inner.machine.host_cpu(), pu)
                     .transfer_time(input_bytes);
                 ctx.sleep(dma);
-                rung.invoke(ctx, &inst.sandbox, exec.host_time(input_bytes))?;
+                rung.invoke(ctx, sandbox, exec.host_time(input_bytes))?;
             }
             _ => {
-                let spec = self.inner.machine.pu(inst.pu).expect("instance on known pu").clone();
-                if !inst.pending_first_run.is_zero() && inst.invocations == 0 {
-                    ctx.sleep(inst.pending_first_run);
+                let spec = self.inner.machine.pu(pu).expect("instance on known pu");
+                if !first_run.is_zero() {
+                    ctx.sleep(first_run);
                 }
-                ctx.sleep(inst.func.exec.time_on(&spec, input_bytes));
+                ctx.sleep(func.exec.time_on(spec, input_bytes));
             }
         }
         let latency = ctx.now() - t0;
@@ -675,7 +683,7 @@ impl Molecule {
                 ctx.lane(),
                 t0.as_nanos(),
                 ctx.now().as_nanos(),
-                &format!("invoke {}", inst.func.id),
+                &format!("invoke {}", func.id),
                 ctx.trace_ctx(),
             );
             r.metrics().observe_ns("molecule.invoke_ns", latency.as_nanos());
@@ -685,7 +693,7 @@ impl Molecule {
             if let Some(i) = st.instances.get_mut(&instance) {
                 i.invocations += 1;
             }
-            st.meter.charge(inst.kind, latency, inst.func.memory_mib.max(1))
+            st.meter.charge(kind, latency, func.memory_mib.max(1))
         };
         Ok(InvokeReport { latency, billed })
     }

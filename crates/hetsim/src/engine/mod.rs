@@ -58,6 +58,7 @@ pub use semaphore::{SemPermit, SimSemaphore};
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -172,7 +173,6 @@ enum Step {
 }
 
 pub(crate) struct EngineState {
-    pub now: SimTime,
     events: EventQueue<EventAction>,
     pub procs: ProcSlab,
     pub live: usize,
@@ -188,7 +188,6 @@ pub(crate) struct EngineState {
 
 impl EngineState {
     pub(crate) fn schedule(&mut self, at: SimTime, action: EventAction) {
-        debug_assert!(at >= self.now, "cannot schedule into the past");
         self.events.push(at.as_nanos(), action);
     }
 
@@ -199,9 +198,9 @@ impl EngineState {
     }
 
     /// Pops the next event and prepares it: event budget, `(time, seq)` pop,
-    /// policy batch and [`ChoicePoint`], `events_fired`, trace entry and the
-    /// stale-resume check.
-    fn next(&mut self) -> Step {
+    /// clock advance, policy batch and [`ChoicePoint`], `events_fired`,
+    /// trace entry and the stale-resume check.
+    fn next(&mut self, clock: &Clock) -> Step {
         if let Some(err) = self.spawn_error.take() {
             return Step::End(Err(err));
         }
@@ -212,15 +211,15 @@ impl EngineState {
             let Some((t_ns, seq, action)) = self.events.pop() else {
                 if self.live == 0 {
                     let trace = self.trace.take().unwrap_or_default();
-                    let report = RunReport { end_time: self.now, events_fired: self.fired, trace };
+                    let report =
+                        RunReport { end_time: clock.get(), events_fired: self.fired, trace };
                     return Step::End(Ok(report));
                 }
                 let blocked = self.procs.iter_mut().map(|p| p.name.clone()).collect();
                 return Step::End(Err(SimError::Deadlock { blocked }));
             };
             let t = SimTime::from_nanos(t_ns);
-            debug_assert!(t >= self.now, "event queue went backwards");
-            self.now = t;
+            clock.advance(t);
             let action = match self.policy.as_mut() {
                 Some(policy) => {
                     // Gather every event runnable at this instant. Pops come
@@ -266,8 +265,26 @@ impl EngineState {
     }
 }
 
+/// The virtual clock. Only the dispatcher advances it, inside
+/// [`EngineState::next`]; every process reads it without taking the
+/// engine lock. Processes run one at a time on the dispatcher's thread, so
+/// a relaxed load always sees the latest store.
+struct Clock(AtomicU64);
+
+impl Clock {
+    fn get(&self) -> SimTime {
+        SimTime::from_nanos(self.0.load(Ordering::Relaxed))
+    }
+
+    fn advance(&self, to: SimTime) {
+        debug_assert!(to >= self.get(), "event queue went backwards");
+        self.0.store(to.as_nanos(), Ordering::Relaxed);
+    }
+}
+
 pub(crate) struct EngineShared {
     pub state: Mutex<EngineState>,
+    clock: Clock,
 }
 
 /// Emits the "wake proc#N" engine instant, outside any engine lock and only
@@ -293,9 +310,9 @@ fn announce(dispatch: Option<(SimTime, String)>) {
 }
 
 impl EngineShared {
-    /// Current virtual time.
+    /// Current virtual time, read without the engine lock.
     pub fn now(&self) -> SimTime {
-        self.state.lock().now
+        self.clock.get()
     }
 
     /// Schedule a resume for `(proc, gen)` at `at`.
@@ -308,7 +325,7 @@ impl EngineShared {
     ) {
         let at = {
             let mut st = self.state.lock();
-            let at = at.max(st.now);
+            let at = at.max(self.now());
             st.schedule(at, EventAction::Resume { proc, gen, reason });
             at
         };
@@ -320,7 +337,7 @@ impl EngineShared {
     pub(crate) fn schedule_resume_now(&self, proc: ProcId, gen: u64, reason: ResumeReason) {
         let at = {
             let mut st = self.state.lock();
-            let at = st.now;
+            let at = self.now();
             st.schedule(at, EventAction::Resume { proc, gen, reason });
             at
         };
@@ -333,7 +350,7 @@ impl EngineShared {
         let at = {
             let mut st = self.state.lock();
             let gen = st.bump_gen(proc);
-            let at = st.now + d;
+            let at = self.now() + d;
             st.schedule(at, EventAction::Resume { proc, gen, reason });
             at
         };
@@ -342,9 +359,8 @@ impl EngineShared {
 
     /// Schedule a closure to run on the dispatcher's stack at `at`.
     pub(crate) fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce() + Send>) {
-        let mut st = self.state.lock();
-        let at = at.max(st.now);
-        st.schedule(at, EventAction::Call(f));
+        let at = at.max(self.now());
+        self.state.lock().schedule(at, EventAction::Call(f));
     }
 
     /// Registers a process and schedules its start; [`set_start`] gives it
@@ -355,8 +371,10 @@ impl EngineShared {
         let mut st = self.state.lock();
         let id = st.procs.insert(ProcSlot { name: name.to_owned(), wait_gen: 0, start: None });
         st.live += 1;
-        let now = st.now;
-        st.schedule(now, EventAction::Resume { proc: id, gen: 0, reason: ResumeReason::Start });
+        st.schedule(
+            self.now(),
+            EventAction::Resume { proc: id, gen: 0, reason: ResumeReason::Start },
+        );
         id
     }
 
@@ -479,7 +497,6 @@ impl Simulation {
         Simulation {
             shared: Arc::new(EngineShared {
                 state: Mutex::new(EngineState {
-                    now: SimTime::ZERO,
                     events: EventQueue::new(),
                     procs: ProcSlab::new(),
                     live: 0,
@@ -491,6 +508,7 @@ impl Simulation {
                     spawn_error: None,
                     panicked: None,
                 }),
+                clock: Clock(AtomicU64::new(0)),
             }),
             step_observer: None,
             fibers: Vec::new(),
@@ -571,7 +589,7 @@ impl Simulation {
     /// original payload.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         loop {
-            let step = self.shared.state.lock().next();
+            let step = self.shared.state.lock().next(&self.shared.clock);
             match step {
                 Step::End(result) => return result,
                 Step::Call(f) => f(),
@@ -629,7 +647,7 @@ impl fmt::Debug for Simulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.shared.state.lock();
         f.debug_struct("Simulation")
-            .field("now", &st.now)
+            .field("now", &self.shared.now())
             .field("live_procs", &st.live)
             .field("pending_events", &st.events.len())
             .finish()

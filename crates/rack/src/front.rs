@@ -7,7 +7,8 @@
 //! * **One gateway per node.** Every node runs its own default-configured
 //!   [`SchedGateway`] scoped to that node's PUs
 //!   ([`SchedGateway::new_for_pus`]), with its own run queues, keep-alive
-//!   index and [`RegionDirectory`]. Placement inside a node uses the
+//!   index and [`RegionDirectory`](molecule_core::regions::RegionDirectory).
+//!   Placement inside a node uses the
 //!   calibrated cost model, including the node-locality term that keeps
 //!   DAG chains and region consumers off the fabric.
 //! * **A consistent-hash front.** [`RackFront`] routes each function to

@@ -4,7 +4,7 @@
 //! pipeline this crate exists for:
 //!
 //! 1. **Admission** — [`SchedGateway::submit`] ranks candidate PUs with the
-//!    calibrated [`placer`](crate::placer), checks the latency budget against
+//!    calibrated [`placer`], checks the latency budget against
 //!    each candidate's estimate, and either enqueues the request on the best
 //!    [`RunQueue`] or rejects it with a typed [`Overloaded`].
 //! 2. **Service** — a pool of worker processes per PU (one per queue token)
@@ -540,48 +540,49 @@ impl SchedGateway {
     }
 
     /// Ranked candidate PUs for `def` under the configured placement mode.
+    /// The per-PU loads stream straight into the ranking, read under the
+    /// queue lock, so only the ranking itself is collected.
     fn candidate_pus(
         &self,
         def: &molecule_core::function::FunctionDef,
         input_bytes: u64,
     ) -> Vec<Candidate> {
         let machine = self.api.molecule().machine();
-        let avoided: BTreeSet<PuId> = self.api.avoided_pus().into_iter().collect();
-        let loads: Vec<PuLoad> = {
-            let sh = self.shared.lock();
-            sh.queues
-                .iter()
-                .filter(|(pu, _)| !avoided.contains(pu) && !sh.dead.contains(pu))
-                .map(|(pu, q)| {
-                    let fallback = placer::exec_estimate(machine, def, *pu, input_bytes)
-                        .unwrap_or_else(|| SimDuration::from_millis(1));
-                    let warm = match self.caches.get(pu) {
-                        Some(cache) => cache.is_resident(&def.id),
-                        None => self.api.warm_idle_count(&def.id, *pu) > 0,
-                    };
-                    PuLoad { pu: *pu, wait: q.estimated_wait(fallback), warm }
-                })
-                .collect()
+        // Sorted, and empty unless a PU is quarantined.
+        let avoided = self.api.avoided_pus();
+        // State locality: PUs already hosting the function's declared
+        // regions earn the state bonus.
+        let state_hosts = match self.config.mode {
+            PlacementMode::LoadAware if !def.regions.is_empty() => {
+                self.api.region_directory().hosts_of_any(&def.regions)
+            }
+            _ => Vec::new(),
         };
+        let sh = self.shared.lock();
+        let loads = sh
+            .queues
+            .iter()
+            .filter(|(pu, _)| avoided.binary_search(pu).is_err() && !sh.dead.contains(pu))
+            .map(|(pu, q)| {
+                let fallback = placer::exec_estimate(machine, def, *pu, input_bytes)
+                    .unwrap_or_else(|| SimDuration::from_millis(1));
+                let warm = match self.caches.get(pu) {
+                    Some(cache) => cache.is_resident(&def.id),
+                    None => self.api.warm_idle_count(&def.id, *pu) > 0,
+                };
+                PuLoad { pu: *pu, wait: q.estimated_wait(fallback), warm }
+            });
         match self.config.mode {
             PlacementMode::LoadAware => {
-                // State locality: PUs already hosting the function's
-                // declared regions earn the state bonus.
-                let state_hosts = if def.regions.is_empty() {
-                    Vec::new()
-                } else {
-                    self.api.region_directory().hosts_of_any(&def.regions)
-                };
-                placer::rank(machine, def, input_bytes, &loads, &state_hosts)
+                placer::rank(machine, def, input_bytes, loads, &state_hosts)
             }
             PlacementMode::FirstFit => {
                 // Same feasibility filter, but machine order instead of the
-                // cost model: loads are already in PU-id order, so ranking
-                // with a zeroed wait and re-sorting by PU preserves it while
-                // still carrying the estimates admission control needs.
-                let blind: Vec<PuLoad> =
-                    loads.iter().map(|l| PuLoad { wait: SimDuration::ZERO, ..*l }).collect();
-                let mut cands = placer::rank(machine, def, input_bytes, &blind, &[]);
+                // cost model: loads come in PU-id order, so ranking with a
+                // zeroed wait and re-sorting by PU preserves it while still
+                // carrying the estimates admission control needs.
+                let blind = loads.map(|l| PuLoad { wait: SimDuration::ZERO, ..l });
+                let mut cands = placer::rank(machine, def, input_bytes, blind, &[]);
                 cands.sort_by_key(|c| c.pu);
                 cands
             }
@@ -825,12 +826,11 @@ impl SchedGateway {
 
     // ----- plumbing --------------------------------------------------------
 
+    /// Wakes every worker of `pu`. A send only schedules the worker's
+    /// resume, so it is made in place under the lock.
     fn wake_pu(&self, pu: PuId) {
-        let senders = {
-            let sh = self.shared.lock();
-            sh.wakes.get(&pu).cloned().unwrap_or_default()
-        };
-        for tx in senders {
+        let sh = self.shared.lock();
+        for tx in sh.wakes.get(&pu).into_iter().flatten() {
             let _ = tx.send(());
         }
     }

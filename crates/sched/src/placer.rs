@@ -161,7 +161,7 @@ pub fn rank(
     machine: &Machine,
     def: &FunctionDef,
     input: u64,
-    loads: &[PuLoad],
+    loads: impl IntoIterator<Item = PuLoad>,
     state_hosts: &[PuId],
 ) -> Vec<Candidate> {
     let preferred_nodes: Vec<_> = if machine.node_count() > 1 {
@@ -231,7 +231,7 @@ mod tests {
     fn unloaded_cpu_beats_slower_dpus() {
         let machine = Machine::paper_cpu_dpu_server();
         let loads = [idle(PuId(0)), idle(PuId(1)), idle(PuId(2))];
-        let ranked = rank(&machine, &def(), 0, &loads, &[]);
+        let ranked = rank(&machine, &def(), 0, loads, &[]);
         assert_eq!(ranked[0].pu, PuId(0), "CPU exec 10ms < DPU exec 62ms");
         assert_eq!(ranked.len(), 3);
     }
@@ -245,7 +245,7 @@ mod tests {
             idle(PuId(1)),
             idle(PuId(2)),
         ];
-        let ranked = rank(&machine, &def(), 0, &loads, &[]);
+        let ranked = rank(&machine, &def(), 0, loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "load-aware: overflow to the idle DPU");
     }
 
@@ -264,7 +264,7 @@ mod tests {
             PuLoad { pu: PuId(0), wait: SimDuration::ZERO, warm: false },
             PuLoad { pu: PuId(1), wait: SimDuration::ZERO, warm: true },
         ];
-        let ranked = rank(&machine, &quick, 0, &loads, &[]);
+        let ranked = rank(&machine, &quick, 0, loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "warm DPU beats cold CPU for a tiny function");
         assert_eq!(ranked[0].cold, SimDuration::ZERO);
         assert!(ranked[1].cold > SimDuration::ZERO);
@@ -280,10 +280,10 @@ mod tests {
             .region("weights")
             .build();
         // Identical DPUs: lower id wins without the term...
-        let plain = rank(&machine, &dpu_fn, 0, &loads, &[]);
+        let plain = rank(&machine, &dpu_fn, 0, loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
         // ...but PU 2 hosting the region's pages flips the choice.
-        let steered = rank(&machine, &dpu_fn, 0, &loads, &[PuId(2)]);
+        let steered = rank(&machine, &dpu_fn, 0, loads, &[PuId(2)]);
         assert_eq!(steered[0].pu, PuId(2), "state locality is a scoring bonus");
         // The bonus saturates: it can prefer, never produce negative scores.
         assert!(steered[0].score <= plain[1].score);
@@ -296,7 +296,7 @@ mod tests {
         // function rides the backlog (50ms < 62ms)...
         let loads =
             [PuLoad { pu: PuId(0), wait: SimDuration::from_millis(40), warm: true }, idle(PuId(1))];
-        let plain = rank(&machine, &def(), 0, &loads, &[]);
+        let plain = rank(&machine, &def(), 0, loads, &[]);
         assert_eq!(plain[0].pu, PuId(0), "plain: 10+40 < 62");
         // ...a latency-SLO function double-counts the wait and flees to the
         // idle DPU (10+40+40 > 62)...
@@ -306,13 +306,13 @@ mod tests {
             .cfork_first_run_ms(1.0)
             .slo_latency_ms(100.0)
             .build();
-        let ranked = rank(&machine, &lat, 0, &loads, &[]);
+        let ranked = rank(&machine, &lat, 0, loads, &[]);
         assert_eq!(ranked[0].pu, PuId(1), "latency SLO flees the deep queue");
         // ...and a batch function absorbs an even deeper queue the plain
         // function would flee (70-30 < 62 while 10+60 > 62).
         let deep =
             [PuLoad { pu: PuId(0), wait: SimDuration::from_millis(60), warm: true }, idle(PuId(1))];
-        let plain_deep = rank(&machine, &def(), 0, &deep, &[]);
+        let plain_deep = rank(&machine, &def(), 0, deep, &[]);
         assert_eq!(plain_deep[0].pu, PuId(1), "plain flees a 60ms backlog");
         let batch = FunctionDef::builder("bulk", LangRuntime::Python)
             .profiles(&[PuKind::Cpu, PuKind::Dpu])
@@ -320,7 +320,7 @@ mod tests {
             .cfork_first_run_ms(1.0)
             .slo_batch()
             .build();
-        let absorbed = rank(&machine, &batch, 0, &deep, &[]);
+        let absorbed = rank(&machine, &batch, 0, deep, &[]);
         assert_eq!(absorbed[0].pu, PuId(0), "batch absorbs the backlog");
     }
 
@@ -335,11 +335,11 @@ mod tests {
         let loads = [idle(PuId(1)), idle(PuId(3))];
         // Without a state host the identical DPUs tie and the lower id
         // wins...
-        let plain = rank(&machine, &dpu_fn, 0, &loads, &[]);
+        let plain = rank(&machine, &dpu_fn, 0, loads, &[]);
         assert_eq!(plain[0].pu, PuId(1));
         // ...with a region hosted on node 1's host, the neighbour DPU on
         // that node wins, keeping the attach off the rack fabric.
-        let steered = rank(&machine, &dpu_fn, 0, &loads, &[PuId(2)]);
+        let steered = rank(&machine, &dpu_fn, 0, loads, &[PuId(2)]);
         assert_eq!(steered[0].pu, PuId(3), "node locality is a scoring bonus");
     }
 }

@@ -5,7 +5,7 @@
 //! unbounded backlog with no admission signal whatsoever. [`RunQueue`] is
 //! the replacement primitive: a bounded queue with a token-style
 //! concurrency limit and deadline-aware shedding. Entries are arbitrated
-//! by a start-time-fair [`SfqQueue`](molecule_tenancy::SfqQueue) over
+//! by a start-time-fair [`SfqQueue`] over
 //! per-tenant sub-queues, so one tenant's flood cannot starve another's
 //! trickle. It is a pure deterministic data structure — the property tests
 //! in `tests/properties.rs` drive it directly, and [`SchedGateway`] wraps
@@ -350,51 +350,47 @@ impl<T> RunQueue<T> {
         ticket
     }
 
-    /// Per-tenant in-service token caps: each tenant that is currently
-    /// active (queued or in service) may hold up to its weight share of the
-    /// tokens, rounded up. With a single active tenant the cap equals the
-    /// whole token pool, so gating only bites under contention.
-    fn service_caps(&self) -> BTreeMap<TenantId, usize> {
-        let mut active: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for (tenant, _) in self.entries.queued_by_tenant() {
-            active.entry(tenant).or_insert_with(|| u64::from(self.weight_of(tenant)));
-        }
-        for (tenant, n) in &self.in_service_by {
-            if *n > 0 {
-                active.entry(*tenant).or_insert_with(|| u64::from(self.weight_of(*tenant)));
-            }
-        }
-        let total: u64 = active.values().sum();
-        if total == 0 {
-            return BTreeMap::new();
-        }
-        let tokens = self.policy.tokens as u64;
-        active
-            .into_iter()
-            .map(|(t, w)| (t, ((tokens * w).div_ceil(total)).max(1) as usize))
-            .collect()
-    }
-
     fn weight_of(&self, tenant: TenantId) -> u32 {
         self.weights.get(&tenant).copied().unwrap_or(1)
+    }
+
+    /// Summed weight of the active tenants: those with queued work or an
+    /// in-service token.
+    fn active_weight(&self) -> u64 {
+        let queued = self.entries.queued_tenants().map(|(t, _)| t);
+        let serving_only =
+            self.in_service_by.keys().copied().filter(|t| !self.entries.has_queued(*t));
+        queued.chain(serving_only).map(|t| u64::from(self.weight_of(t))).sum()
     }
 
     /// Dispatches the next entry (smallest SFQ virtual start time), marking
     /// one token busy. Returns `None` when nothing is queued. Does **not**
     /// check the total token bound — the caller's worker processes *are*
-    /// the tokens; a worker only calls `begin` when it holds one. It *does* enforce the per-tenant share
-    /// cap: a tenant already at its share is skipped while an under-share
+    /// the tokens; a worker only calls `begin` when it holds one.
+    ///
+    /// It *does* enforce the per-tenant share cap: each active tenant
+    /// (queued or in service) may hold up to its weight share of the
+    /// tokens, rounded up. A tenant at its cap is skipped while another
     /// tenant has queued work, falling back to an unfiltered pop so idle
-    /// share is never wasted.
+    /// share is never wasted. With at most one tenant queued the caps are
+    /// not computed at all: the filtered pop could only return that
+    /// tenant's head or nothing, and nothing falls back to the unfiltered
+    /// pop, which returns the same head.
     pub fn begin(&mut self, now: SimTime) -> Option<Queued<T>> {
-        let caps = self.service_caps();
-        let held = &self.in_service_by;
-        let (tenant, entry) = self
-            .entries
-            .pop_where(|t| {
-                held.get(&t).copied().unwrap_or(0) < caps.get(&t).copied().unwrap_or(usize::MAX)
-            })
-            .or_else(|| self.entries.pop())?;
+        let (tenant, entry) = if self.entries.queued_tenants().nth(1).is_none() {
+            self.entries.pop()
+        } else {
+            let total = self.active_weight();
+            let tokens = self.policy.tokens as u64;
+            let (weights, held) = (&self.weights, &self.in_service_by);
+            self.entries
+                .pop_where(|t| {
+                    let weight = u64::from(weights.get(&t).copied().unwrap_or(1));
+                    let cap = (tokens * weight).div_ceil(total).max(1) as usize;
+                    held.get(&t).copied().unwrap_or(0) < cap
+                })
+                .or_else(|| self.entries.pop())
+        }?;
         self.in_service += 1;
         *self.in_service_by.entry(tenant).or_default() += 1;
         Some(entry.leave(tenant, now))

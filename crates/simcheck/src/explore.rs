@@ -85,7 +85,7 @@ pub struct ViolationReport {
     /// The oracle's message from the *minimal* repro.
     pub message: String,
     /// Minimal schedule choice list (replay it with
-    /// [`ReplayPolicy`](crate::ReplayPolicy)).
+    /// [`ReplayPolicy`]).
     pub choices: Vec<u32>,
     /// Minimal fault plan (every surviving event is necessary).
     pub plan: FaultPlan,

@@ -10,7 +10,8 @@
 //! concurrent-cfork thread-count corruption only manifest under schedules
 //! the default tie-break never picks. This crate drives one test body
 //! through hundreds of distinct interleavings by varying only the
-//! same-instant tie-break (the engine's [`SchedulePolicy`] hook), checking
+//! same-instant tie-break (the engine's
+//! [`SchedulePolicy`](hetsim::engine::SchedulePolicy) hook), checking
 //! control-plane invariants after every step that changed the state they
 //! read (each watched layer keeps a mutation epoch), and — when an oracle
 //! trips — delta-debugging the schedule and the fault plan down to a
@@ -20,7 +21,7 @@
 //!
 //! * [`policy`] — [`ShuffledPolicy`] (seed-randomized ties) and
 //!   [`ReplayPolicy`] (replay a recorded choice list byte-identically).
-//! * [`explore`] — the exploration driver: a bounded DFS over tie-break
+//! * [`explore`](mod@explore) — the exploration driver: a bounded DFS over tie-break
 //!   alternatives (preemption-bounded, budget-capped) topped up with
 //!   seed-shuffled random schedules, plus shrinking and replay-blob
 //!   round-tripping (`SIMCHECK_REPLAY=<blob>`).

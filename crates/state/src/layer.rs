@@ -1,13 +1,13 @@
 //! The two-tier state layer.
 //!
 //! **Tier 1 — PU-local shared regions.** Every replica of a region is backed
-//! by one block of pages on that PU's [`LocalOs`], owned by a per-replica
-//! region-host process. Co-located sandboxes `map_shared` that block, so N
-//! readers of the same weights keep **one** copy resident (the Fig. 2a/11
-//! density argument applied to state). Writes never touch the published
-//! pages: they stage into a private working set (COW — the writer's own
-//! pages grow, the shared block does not change) until an explicit
-//! [`commit`](StateLayer::commit) publishes a new version.
+//! by one block of pages on that PU's [`LocalOs`](hetsim::os::LocalOs),
+//! owned by a per-replica region-host process. Co-located sandboxes
+//! `map_shared` that block, so N readers of the same weights keep **one**
+//! copy resident (the Fig. 2a/11 density argument applied to state). Writes
+//! never touch the published pages: they stage into a private working set
+//! (COW — the writer's own pages grow, the shared block does not change)
+//! until an explicit [`commit`](StateLayer::commit) publishes a new version.
 //!
 //! **Tier 2 — cross-PU sync.** Replicas on other PUs synchronize through the
 //! shim's capability-guarded region API: `commit` from a non-master replica

@@ -13,7 +13,7 @@
 //!   virtual-time [`Histogram`]s with mergeable [`MetricsSnapshot`]s.
 //! * **Exporters** — Chrome `trace_event` JSON (one lane per PU, see
 //!   [`chrome`]) and the machine-readable bench summaries every figure
-//!   binary writes as `BENCH_<figure>.json` (see [`bench`]).
+//!   binary writes as `BENCH_<figure>.json` (see [`bench`](mod@bench)).
 //! * **A flight recorder** — a bounded ring of recent structured events,
 //!   dumped on test failure or executor crash (see [`flight`]).
 //!

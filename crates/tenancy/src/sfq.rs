@@ -77,11 +77,18 @@ impl<T> SfqQueue<T> {
 
     /// Queued items per tenant, sorted by tenant id.
     pub fn queued_by_tenant(&self) -> Vec<(TenantId, usize)> {
-        self.lanes
-            .iter()
-            .filter(|(_, l)| !l.items.is_empty())
-            .map(|(t, l)| (*t, l.items.len()))
-            .collect()
+        self.queued_tenants().collect()
+    }
+
+    /// As [`queued_by_tenant`](Self::queued_by_tenant), without collecting:
+    /// tenants with queued items and their counts, in tenant-id order.
+    pub fn queued_tenants(&self) -> impl Iterator<Item = (TenantId, usize)> + '_ {
+        self.lanes.iter().filter(|(_, l)| !l.items.is_empty()).map(|(t, l)| (*t, l.items.len()))
+    }
+
+    /// True when `tenant` has at least one queued item.
+    pub fn has_queued(&self, tenant: TenantId) -> bool {
+        self.lanes.get(&tenant).is_some_and(|l| !l.items.is_empty())
     }
 
     /// Enqueues `value` for `tenant` with `weight` (clamped to at least 1).
@@ -125,21 +132,28 @@ impl<T> SfqQueue<T> {
 
     /// Removes and returns every queued item matching `pred`, in per-lane
     /// FIFO order (tenants in id order). Remaining items keep their tags.
+    /// `pred` sees each item once; a lane with no match is left untouched,
+    /// so a sweep that removes nothing allocates nothing.
     pub fn remove_where(
         &mut self,
         mut pred: impl FnMut(TenantId, &T) -> bool,
     ) -> Vec<(TenantId, T)> {
         let mut out = Vec::new();
         for (&tenant, lane) in self.lanes.iter_mut() {
-            let mut keep = VecDeque::with_capacity(lane.items.len());
-            for item in lane.items.drain(..) {
+            let Some(first) = lane.items.iter().position(|i| pred(tenant, &i.value)) else {
+                continue;
+            };
+            // Items before the first match stay where they are; the rest
+            // are re-filtered behind them.
+            let mut tail = lane.items.split_off(first).into_iter();
+            out.extend(tail.next().map(|item| (tenant, item.value)));
+            for item in tail {
                 if pred(tenant, &item.value) {
                     out.push((tenant, item.value));
                 } else {
-                    keep.push_back(item);
+                    lane.items.push_back(item);
                 }
             }
-            lane.items = keep;
         }
         self.len -= out.len();
         let vtime = self.vtime;
@@ -230,5 +244,24 @@ mod tests {
         assert_eq!(q.queued_by_tenant(), vec![(TenantId(1), 1)]);
         assert_eq!(q.pop(), Some((TenantId(1), 10)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn remove_where_keeps_unmatched_items_in_order_and_tags() {
+        let mut q = SfqQueue::new();
+        for v in 0..6 {
+            q.push(TenantId(1), 1, v);
+        }
+        q.push(TenantId(2), 1, 10);
+        // No match anywhere: nothing moves.
+        assert!(q.remove_where(|_, v| *v > 100).is_empty());
+        // Matches in the middle and at the end of tenant 1's lane.
+        let removed = q.remove_where(|_, v| *v == 2 || *v == 5);
+        assert_eq!(removed, vec![(TenantId(1), 2), (TenantId(1), 5)]);
+        assert_eq!(q.len(), 5);
+        // Survivors keep their FIFO order and their start tags: tenant 2's
+        // single item still interleaves after tenant 1's first.
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, [0, 10, 1, 3, 4]);
     }
 }

@@ -1,6 +1,7 @@
 //! Sandbox identity, configuration and state machine.
 
 use core::fmt;
+use std::sync::Arc;
 
 use hetsim::fpga::KernelSpec;
 use serde::{Deserialize, Serialize};
@@ -34,13 +35,19 @@ impl From<&str> for SandboxId {
 }
 
 /// Identifier of a deployed function (the `<func-id>` in `create`).
+///
+/// The id is a shared, immutable string: a clone bumps a reference count
+/// and never copies the bytes, so request paths that carry or key by the
+/// id (queue entries, warm-pool lookups, keep-alive books) allocate
+/// nothing for it. `Hash`, `Eq` and `Ord` are the string's, so sorted ids
+/// and id-keyed maps order exactly as they would by the text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct FuncId(pub String);
+pub struct FuncId(Arc<str>);
 
 impl FuncId {
     /// Creates an id from any string-ish value.
-    pub fn new(id: impl Into<String>) -> FuncId {
-        FuncId(id.into())
+    pub fn new(id: impl AsRef<str>) -> FuncId {
+        FuncId(Arc::from(id.as_ref()))
     }
 
     /// The id as a string slice.
@@ -57,13 +64,13 @@ impl fmt::Display for FuncId {
 
 impl From<&str> for FuncId {
     fn from(s: &str) -> FuncId {
-        FuncId(s.to_owned())
+        FuncId(Arc::from(s))
     }
 }
 
 impl From<String> for FuncId {
     fn from(s: String) -> FuncId {
-        FuncId(s)
+        FuncId(Arc::from(s))
     }
 }
 

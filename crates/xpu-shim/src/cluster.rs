@@ -1476,7 +1476,7 @@ impl ShimCluster {
     /// Health probe: one small XPUcall from `from` toward `target`'s shim.
     /// Returns the observed round trip, or the discriminated failure
     /// ([`ShimError::PeerDead`] / [`ShimError::XcallTimeout`]) after the
-    /// [`XCALL_TIMEOUT`] (200 µs) has elapsed.
+    /// shim's XPUcall timeout (200 µs) has elapsed.
     ///
     /// # Errors
     ///
