@@ -32,6 +32,11 @@ done
 # gates below read the same committed artifacts.
 export MOLECULE_BENCH_DIR="$PWD"
 
+# A jq gate whose `col("name")` is the row's cell under that column of the
+# file's own header: a reordered column still gates the right number, and a
+# renamed one fails the gate ("Cannot index array with null").
+gate() { jq -e ".header as \$h | def col(\$n): .[\$h | index(\$n)]; $1" "$2" >/dev/null; }
+
 # Paper figures: every table and figure of the evaluation, plus the seeded
 # crash-recovery scenario. Their BENCH files are checked by the artifact
 # gate below.
@@ -42,17 +47,17 @@ cargo run --release -q -p molecule-bench --bin fig_fault
 # nothing shed or lost at the low-load points.
 cargo run --release -q -p molecule-bench --bin fig_sched
 test -f BENCH_sched.json
-jq -e '[.rows[] | select(.[1].value <= 160)] | length > 0 and all(.[4].value == 0 and .[7].value == 0)' \
-    BENCH_sched.json >/dev/null
+gate '[.rows[] | select(col("load (rps)").value <= 160)] | length > 0
+      and all(col("shed").value == 0 and col("lost").value == 0)' BENCH_sched.json
 
 # Data-plane stage: a fig_comm run. Gates: the adaptive data plane never
 # loses to the best pinned transport at any payload size, and the
 # shared-segment descriptor path buys >=2x on 64 KiB+ cross-PU payloads.
 cargo run --release -q -p molecule-bench --bin fig_comm
 test -f BENCH_comm.json
-jq -e '[.rows[]] | length > 0 and all(.[4].value <= .[5].value)' BENCH_comm.json >/dev/null
-jq -e '[.rows[] | select(.[0].value >= 65536)] | length > 0 and all(.[6].value >= 2)' \
-    BENCH_comm.json >/dev/null
+gate '[.rows[]] | length > 0 and all(col("adaptive").value <= col("best pinned").value)' BENCH_comm.json
+gate '[.rows[] | select(col("payload").value >= 65536)] | length > 0
+      and all(col("speedup").value >= 2)' BENCH_comm.json
 
 # Shared-state stage: a fig_state run. Gates: at 8 co-located sandboxes
 # the shared-weights fleet costs at most half the copy-per-instance
@@ -60,11 +65,11 @@ jq -e '[.rows[] | select(.[0].value >= 65536)] | length > 0 and all(.[6].value >
 # baseline by >=2x at 64 KiB partitions.
 cargo run --release -q -p molecule-bench --bin fig_state
 test -f BENCH_state.json
-jq -e '[.rows[] | select(.[0].value == 8)] | length > 0 and all(.[6].value <= 0.5)' \
-    BENCH_state.json >/dev/null
+gate '[.rows[] | select(col("sandboxes").value == 8)] | length > 0
+      and all(col("memory ratio").value <= 0.5)' BENCH_state.json
 test -f BENCH_state_shuffle.json
-jq -e '[.rows[] | select(.[0].value >= 65536)] | length > 0 and all(.[6].value >= 2)' \
-    BENCH_state_shuffle.json >/dev/null
+gate '[.rows[] | select(col("partition").value >= 65536)] | length > 0
+      and all(col("speedup").value >= 2)' BENCH_state_shuffle.json
 
 # Rack stage: a fig_rack run. Gates: zero lost requests at every point of
 # the scaling sweep, the 16-node rack sustains >= 10x the single node's
@@ -72,13 +77,13 @@ jq -e '[.rows[] | select(.[0].value >= 65536)] | length > 0 and all(.[6].value >
 # payload bytes from the fabric hand-off.
 cargo run --release -q -p molecule-bench --bin fig_rack
 test -f BENCH_rack.json
-jq -e '[.rows[]] | length > 0 and all(.[7].value == 0)' BENCH_rack.json >/dev/null
-jq -e '([.rows[] | select(.[0].value == 16 and .[11].raw == "yes") | .[1].value] | max)
-       >= 10 * ([.rows[] | select(.[0].value == 1 and .[11].raw == "yes") | .[1].value] | max)' \
-    BENCH_rack.json >/dev/null
+gate '[.rows[]] | length > 0 and all(col("lost").value == 0)' BENCH_rack.json
+gate 'def best($n): [.rows[] | select(col("nodes").value == $n and col("sustained").raw == "yes")
+                  | col("load (rps)").value] | max;
+      best(16) >= 10 * best(1)' BENCH_rack.json
 test -f BENCH_rack_edges.json
-jq -e '[.rows[] | select(.[0].value >= 16384)] | length > 0 and all(.[2].value > 0)' \
-    BENCH_rack_edges.json >/dev/null
+gate '[.rows[] | select(col("payload (B)").value >= 16384)] | length > 0
+      and all(col("bytes elided").value > 0)' BENCH_rack_edges.json
 
 # Tenancy stage: a fig_tenancy run (one tenant floods at 10x the machine's
 # drain capacity). Gates: every victim row keeps loss at 0 and p99 within
@@ -86,10 +91,10 @@ jq -e '[.rows[] | select(.[0].value >= 16384)] | length > 0 and all(.[2].value >
 # to its weight share (+10pp) of delivered service.
 cargo run --release -q -p molecule-bench --bin fig_tenancy
 test -f BENCH_tenancy.json
-jq -e '[.rows[] | select(.[1].raw == "victim")] | length == 3
-       and all(.[5].value == 0 and .[9].value <= 1.2)' BENCH_tenancy.json >/dev/null
-jq -e '[.rows[] | select(.[1].raw == "antagonist")] | length == 1
-       and all(.[6].value > 0 and .[12].value <= 0.35)' BENCH_tenancy.json >/dev/null
+gate '[.rows[] | select(col("role").raw == "victim")] | length == 3
+      and all(col("loss").value == 0 and col("p99 ratio").value <= 1.2)' BENCH_tenancy.json
+gate '[.rows[] | select(col("role").raw == "antagonist")] | length == 1
+      and all(col("rate-denied").value > 0 and col("share").value <= 0.35)' BENCH_tenancy.json
 
 # High-density stage: a fig_density run sweeping 100 -> 10k resident
 # sandboxes. Gates: per-sandbox PSS at 10k stays <= 0.25x the
@@ -97,10 +102,10 @@ jq -e '[.rows[] | select(.[1].raw == "antagonist")] | length == 1
 # 100-sandbox point at every density, and no offload request is lost.
 cargo run --release -q -p molecule-bench --bin fig_density
 test -f BENCH_density.json
-jq -e '[.rows[] | select(.[0].value == 10000)] | length > 0 and all(.[3].value <= 0.25)' \
-    BENCH_density.json >/dev/null
-jq -e '[.rows[]] | length > 0 and all(.[6].value <= 1.2)' BENCH_density.json >/dev/null
-jq -e '[.rows[]] | length > 0 and all(.[7].value == 0)' BENCH_density.json >/dev/null
+gate '[.rows[] | select(col("sandboxes").value == 10000)] | length > 0
+      and all(col("ratio").value <= 0.25)' BENCH_density.json
+gate '[.rows[]] | length > 0 and all(col("vs 100").value <= 1.2 and col("lost").value == 0)' \
+    BENCH_density.json
 
 # Artifact gate: the bench stages above rewrote the committed virtual-time
 # BENCH files at the repo root. Any byte of drift is a behaviour change,

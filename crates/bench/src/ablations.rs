@@ -162,7 +162,7 @@ pub fn keepalive_policies() -> Vec<PolicyRow> {
                 }
                 let mgr = FpgaCacheManager::new(molecule, fpga, 4, policy);
                 for i in skewed_pattern() {
-                    mgr.request(ctx, &funcs[i], 1024).unwrap();
+                    mgr.request_batch(ctx, &[(funcs[i].clone(), 1024)]).unwrap();
                 }
                 let stats = mgr.stats();
                 PolicyRow {

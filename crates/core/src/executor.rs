@@ -74,7 +74,7 @@ pub enum ExecutorReply {
 }
 
 /// Frame tag marking a reply that echoes its command's idempotency key.
-/// Distinct from every plain [`ExecutorReply::encode`] variant tag.
+/// Distinct from every [`ExecutorReply::encode`] variant tag.
 const KEYED_REPLY_TAG: u8 = 0xFF;
 
 /// Frame tag marking a vectorized frame: several command frames packed into
@@ -232,33 +232,12 @@ impl ExecutorCommand {
         }
     }
 
-    /// Encodes the command with `span` carried *inside the frame* (a tag
-    /// byte, then an optional 16-byte context, then the command): the
-    /// executor wire protocol embeds the trace context so a
-    /// manager→executor command continues the manager's trace on the remote
-    /// PU, even over transports that don't piggyback contexts themselves.
-    pub fn encode_traced(&self, span: Option<SpanContext>) -> Bytes {
-        let mut buf = BytesMut::new();
-        match span {
-            Some(s) => {
-                buf.put_u8(1);
-                buf.put_slice(&s.to_wire());
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_slice(&self.encode());
-        buf.freeze()
-    }
-
-    /// Decodes a frame produced by [`encode_traced`](Self::encode_traced).
-    pub fn decode_traced(bytes: Bytes) -> Option<(ExecutorCommand, Option<SpanContext>)> {
-        let (command, span, _key) = ExecutorCommand::decode_framed(bytes)?;
-        Some((command, span))
-    }
-
-    /// Encodes the command like [`encode_traced`](Self::encode_traced) but
-    /// additionally carries an idempotency `key`, so the executor can
-    /// recognise a duplicated or re-sent command and serve it exactly once.
+    /// Encodes the command as an executor frame: a tag byte, the
+    /// idempotency `key`, an optional 16-byte trace context, then the
+    /// command. The key lets the executor recognise a duplicated or re-sent
+    /// command and serve it exactly once; the embedded context continues
+    /// the manager's trace on the remote PU, even over transports that
+    /// don't piggyback contexts themselves.
     pub fn encode_keyed(&self, key: u64, span: Option<SpanContext>) -> Bytes {
         let mut buf = BytesMut::new();
         match span {
@@ -276,34 +255,24 @@ impl ExecutorCommand {
         buf.freeze()
     }
 
-    /// Decodes any command frame: [`encode_traced`](Self::encode_traced)
-    /// (tags 0/1) or [`encode_keyed`](Self::encode_keyed) (tags 2/3).
-    pub fn decode_framed(
-        mut bytes: Bytes,
-    ) -> Option<(ExecutorCommand, Option<SpanContext>, Option<u64>)> {
-        if bytes.remaining() < 1 {
+    /// Decodes a frame produced by [`encode_keyed`](Self::encode_keyed).
+    /// A frame without a key (or otherwise malformed) decodes to `None`.
+    pub fn decode_framed(mut bytes: Bytes) -> Option<(ExecutorCommand, Option<SpanContext>, u64)> {
+        if bytes.remaining() < 9 {
             return None;
         }
         let tag = bytes.get_u8();
-        let key = match tag {
-            0 | 1 => None,
-            2 | 3 => {
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                Some(bytes.get_u64_le())
+        if tag != 2 && tag != 3 {
+            return None;
+        }
+        let key = bytes.get_u64_le();
+        let span = if tag == 3 {
+            if bytes.remaining() < 16 {
+                return None;
             }
-            _ => return None,
-        };
-        let span = match tag {
-            0 | 2 => None,
-            _ => {
-                if bytes.remaining() < 16 {
-                    return None;
-                }
-                let raw = bytes.split_to(16);
-                SpanContext::from_wire(&raw)
-            }
+            SpanContext::from_wire(&bytes.split_to(16))
+        } else {
+            None
         };
         Some((ExecutorCommand::decode(bytes)?, span, key))
     }
@@ -342,16 +311,14 @@ impl ExecutorReply {
         buf.freeze()
     }
 
-    /// Decodes either a plain [`encode`](Self::encode) frame or a keyed
-    /// [`encode_keyed`](Self::encode_keyed) frame, returning the echoed key
-    /// when present.
-    pub fn decode_framed(mut bytes: Bytes) -> Option<(ExecutorReply, Option<u64>)> {
-        if bytes.remaining() >= 9 && bytes[0] == KEYED_REPLY_TAG {
-            bytes.advance(1);
-            let key = bytes.get_u64_le();
-            return Some((ExecutorReply::decode(bytes)?, Some(key)));
+    /// Decodes a frame produced by [`encode_keyed`](Self::encode_keyed),
+    /// returning the echoed key.
+    pub fn decode_framed(mut bytes: Bytes) -> Option<(ExecutorReply, u64)> {
+        if bytes.remaining() < 9 || bytes.get_u8() != KEYED_REPLY_TAG {
+            return None;
         }
-        Some((ExecutorReply::decode(bytes)?, None))
+        let key = bytes.get_u64_le();
+        Some((ExecutorReply::decode(bytes)?, key))
     }
 
     /// Decodes a reply from its wire format.
@@ -389,63 +356,22 @@ pub struct ExecutorHandle {
 }
 
 impl ExecutorHandle {
-    /// Sends one command and waits for the matching reply.
-    ///
-    /// # Errors
-    ///
-    /// Shim failures, or [`MoleculeError::Internal`] on protocol errors and
-    /// executor-reported failures.
-    pub fn call(
-        &self,
-        ctx: &mut ProcCtx,
-        command: ExecutorCommand,
-    ) -> Result<ExecutorReply, MoleculeError> {
-        let t0 = ctx.now();
-        self.command_writer.write(ctx, command.encode_traced(ctx.trace_ctx()))?;
-        let raw = loop {
-            let raw = self.reply_fifo.read(ctx)?;
-            // A keyed frame answers some earlier call_ft command, not this
-            // un-keyed one — a straggler delayed past its caller's timeout.
-            match raw.first() {
-                Some(&KEYED_REPLY_TAG) => {
-                    telemetry::with(|r| r.metrics().counter_add("executor.stale_replies", 1));
-                }
-                _ => break raw,
-            }
-        };
-        telemetry::with(|r| {
-            r.complete_span(
-                ctx.lane(),
-                t0.as_nanos(),
-                ctx.now().as_nanos(),
-                &format!("executor:call pu{}", self.pu.0),
-                ctx.trace_ctx(),
-            );
-            r.metrics().counter_add("executor.calls", 1);
-            r.metrics().observe_ns("executor.call_ns", (ctx.now() - t0).as_nanos());
-        });
-        let reply = ExecutorReply::decode(raw)
-            .ok_or_else(|| MoleculeError::Internal("malformed executor reply".to_owned()))?;
-        if let ExecutorReply::Failed { reason } = &reply {
-            return Err(MoleculeError::Internal(format!("executor failed: {reason}")));
-        }
-        Ok(reply)
-    }
-
-    /// Fault-tolerant [`call`](Self::call): the command carries an
-    /// idempotency key, the reply wait is bounded by `timeout`, and a lost
-    /// command or reply triggers a bounded re-send under the cluster's retry
-    /// policy. The key makes re-sends exactly-once on the executor side (so
-    /// a re-issued `Cfork` never starts a second instance), and the executor
-    /// echoes it in the reply, so a straggling reply from an earlier
-    /// timed-out call is discarded rather than mistaken for this one's.
+    /// Sends one command and waits for the matching reply. The command
+    /// carries an idempotency key, the reply wait is bounded by `timeout`,
+    /// and a lost command or reply triggers a bounded re-send under the
+    /// cluster's retry policy. The key makes re-sends exactly-once on the
+    /// executor side (so a re-issued `Cfork` never starts a second
+    /// instance), and the executor echoes it in the reply, so a straggling
+    /// reply from an earlier timed-out call is discarded rather than
+    /// mistaken for this one's.
     ///
     /// # Errors
     ///
     /// [`MoleculeError::PuUnavailable`] when the executor's PU is dead or
-    /// stays unresponsive past every retry; other shim/protocol errors as
-    /// [`call`](Self::call).
-    pub fn call_ft(
+    /// stays unresponsive past every retry; shim failures; or
+    /// [`MoleculeError::Internal`] on protocol errors and executor-reported
+    /// failures.
+    pub fn call(
         &self,
         ctx: &mut ProcCtx,
         command: ExecutorCommand,
@@ -479,7 +405,7 @@ impl ExecutorHandle {
                         let (reply, rkey) = ExecutorReply::decode_framed(raw).ok_or_else(|| {
                             MoleculeError::Internal("malformed executor reply".to_owned())
                         })?;
-                        if rkey != Some(key) {
+                        if rkey != key {
                             telemetry::with(|r| {
                                 r.metrics().counter_add("executor.stale_replies", 1);
                             });
@@ -511,7 +437,7 @@ impl ExecutorHandle {
     /// `xfifo_write`, so the whole batch shares one XPUcall/doorbell — and
     /// waits for every reply. Each command carries its own idempotency key;
     /// the executor unpacks the frame and serves each sub-command through
-    /// the same dedup path as a lone [`call_ft`](Self::call_ft), so
+    /// the same dedup path as a lone [`call`](Self::call), so
     /// exactly-once semantics survive batching, re-sends and duplicated
     /// delivery. Unanswered commands are re-sent (only the missing subset,
     /// re-packed as a fresh batch) under the cluster's retry policy.
@@ -564,13 +490,12 @@ impl ExecutorHandle {
                         let (reply, rkey) = ExecutorReply::decode_framed(raw).ok_or_else(|| {
                             MoleculeError::Internal("malformed executor reply".to_owned())
                         })?;
-                        match rkey {
-                            Some(k) if keys.contains(&k) => {
-                                replies.insert(k, reply);
-                            }
-                            _ => telemetry::with(|r| {
+                        if keys.contains(&rkey) {
+                            replies.insert(rkey, reply);
+                        } else {
+                            telemetry::with(|r| {
                                 r.metrics().counter_add("executor.stale_replies", 1);
-                            }),
+                            });
                         }
                     }
                     Err(ShimError::FifoTimeout) => break,
@@ -607,7 +532,7 @@ impl ExecutorHandle {
     /// Liveness probe with a deadline: true iff the executor answered the
     /// ping within `timeout`.
     pub fn ping(&self, ctx: &mut ProcCtx, timeout: SimDuration) -> bool {
-        matches!(self.call_ft(ctx, ExecutorCommand::Ping, timeout), Ok(ExecutorReply::Pong))
+        matches!(self.call(ctx, ExecutorCommand::Ping, timeout), Ok(ExecutorReply::Pong))
     }
 
     /// Convenience: cfork `func` on the executor's PU and return the
@@ -620,8 +545,9 @@ impl ExecutorHandle {
         &self,
         ctx: &mut ProcCtx,
         func: &FuncId,
+        timeout: SimDuration,
     ) -> Result<(InstanceId, SimDuration), MoleculeError> {
-        match self.call(ctx, ExecutorCommand::Cfork { func: func.clone() })? {
+        match self.call(ctx, ExecutorCommand::Cfork { func: func.clone() }, timeout)? {
             ExecutorReply::Started { instance, startup_ns } => {
                 Ok((InstanceId(instance), SimDuration::from_nanos(startup_ns)))
             }
@@ -634,8 +560,8 @@ impl ExecutorHandle {
     /// # Errors
     ///
     /// Same as [`call`](Self::call).
-    pub fn shutdown(&self, ctx: &mut ProcCtx) -> Result<(), MoleculeError> {
-        match self.call(ctx, ExecutorCommand::Shutdown)? {
+    pub fn shutdown(&self, ctx: &mut ProcCtx, timeout: SimDuration) -> Result<(), MoleculeError> {
+        match self.call(ctx, ExecutorCommand::Shutdown, timeout)? {
             ExecutorReply::ShuttingDown => Ok(()),
             other => Err(MoleculeError::Internal(format!("unexpected reply {other:?}"))),
         }
@@ -660,18 +586,17 @@ fn serve_one(
     raw: Bytes,
 ) -> Served {
     let Some((command, span, key)) = ExecutorCommand::decode_framed(raw) else {
-        let _ = reply_writer
-            .write(ectx, ExecutorReply::Failed { reason: "malformed command".to_owned() }.encode());
+        // No key (or no decodable command): no caller can match a reply to
+        // it, so it is dropped unanswered.
+        telemetry::with(|r| r.metrics().counter_add("executor.dropped_commands", 1));
         return Served::Continue;
     };
-    if let Some(k) = key {
-        if let Some(cached) = served.get(k) {
-            telemetry::with(|r| r.metrics().counter_add("executor.dup_commands", 1));
-            return match reply_writer.write(ectx, cached.clone()) {
-                Ok(()) => Served::Continue,
-                Err(_) => Served::Stop,
-            };
-        }
+    if let Some(cached) = served.get(key) {
+        telemetry::with(|r| r.metrics().counter_add("executor.dup_commands", 1));
+        return match reply_writer.write(ectx, cached.clone()) {
+            Ok(()) => Served::Continue,
+            Err(_) => Served::Stop,
+        };
     }
     // Adopt the manager's frame-embedded context: commands served here show
     // up under the manager's request trace.
@@ -681,11 +606,7 @@ fn serve_one(
     let reply = match command {
         ExecutorCommand::Ping => ExecutorReply::Pong,
         ExecutorCommand::Shutdown => {
-            let ack = match key {
-                Some(k) => ExecutorReply::ShuttingDown.encode_keyed(k),
-                None => ExecutorReply::ShuttingDown.encode(),
-            };
-            let _ = reply_writer.write(ectx, ack);
+            let _ = reply_writer.write(ectx, ExecutorReply::ShuttingDown.encode_keyed(key));
             return Served::Stop;
         }
         ExecutorCommand::Cfork { func } => {
@@ -703,13 +624,8 @@ fn serve_one(
             }
         }
     };
-    let encoded = match key {
-        Some(k) => reply.encode_keyed(k),
-        None => reply.encode(),
-    };
-    if let Some(k) = key {
-        served.insert(k, encoded.clone());
-    }
+    let encoded = reply.encode_keyed(key);
+    served.insert(key, encoded.clone());
     match reply_writer.write(ectx, encoded) {
         Ok(()) => Served::Continue,
         Err(_) => Served::Stop,
@@ -774,10 +690,10 @@ pub fn launch_executor(
         let shim = cluster_for_exec.shim_on(pu).expect("executor PU exists");
         let reply_writer =
             shim.xfifo_connect(ectx, exec_pid, &reply_uuid_for_exec).expect("reply fifo granted");
-        // Keyed commands already served, with their replies: a duplicated or
+        // Commands already served, with their replies: a duplicated or
         // re-sent command replays the cached reply instead of re-executing
         // (exactly-once under at-least-once delivery). Bounded: keys are
-        // handed out monotonically and call_ft drains stragglers, so entries
+        // handed out monotonically and `call` drains stragglers, so entries
         // far behind the newest key can never be replayed again.
         const SERVED_CACHE_CAP: usize = 128;
         let mut served = ReplyCache::new(SERVED_CACHE_CAP);
@@ -848,27 +764,33 @@ mod tests {
         }
     }
 
+    /// An unkeyed command frame: tag 0 (no key, no trace context), then
+    /// the command.
+    fn unkeyed_frame(cmd: &ExecutorCommand) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(0);
+        buf.put_slice(&cmd.encode());
+        buf.freeze()
+    }
+
     #[test]
-    fn keyed_frames_roundtrip_and_interop_with_traced() {
+    fn keyed_frames_roundtrip_and_unkeyed_frames_are_rejected() {
         let cmd = ExecutorCommand::Cfork { func: FuncId::new("img") };
         let keyed = cmd.encode_keyed(0xDEAD_BEEF, None);
-        assert_eq!(
-            ExecutorCommand::decode_framed(keyed),
-            Some((cmd.clone(), None, Some(0xDEAD_BEEF)))
-        );
-        // Un-keyed traced frames still decode through the same path.
-        let traced = cmd.encode_traced(None);
-        assert_eq!(ExecutorCommand::decode_framed(traced.clone()), Some((cmd.clone(), None, None)));
-        assert_eq!(ExecutorCommand::decode_traced(traced), Some((cmd, None)));
+        assert_eq!(ExecutorCommand::decode_framed(keyed), Some((cmd.clone(), None, 0xDEAD_BEEF)));
+        let span = SpanContext::root();
+        let traced = cmd.encode_keyed(1, Some(span));
+        assert_eq!(ExecutorCommand::decode_framed(traced), Some((cmd.clone(), Some(span), 1)));
+        assert_eq!(ExecutorCommand::decode_framed(unkeyed_frame(&cmd)), None);
     }
 
     #[test]
     fn keyed_replies_echo_the_command_key() {
         let reply = ExecutorReply::Started { instance: 7, startup_ns: 1 };
         let keyed = reply.encode_keyed(0xABCD);
-        assert_eq!(ExecutorReply::decode_framed(keyed), Some((reply.clone(), Some(0xABCD))));
-        // Plain frames decode through the same path, key-less.
-        assert_eq!(ExecutorReply::decode_framed(reply.encode()), Some((reply, None)));
+        assert_eq!(ExecutorReply::decode_framed(keyed), Some((reply.clone(), 0xABCD)));
+        // A frame without the echoed key is not a reply any caller can match.
+        assert_eq!(ExecutorReply::decode_framed(reply.encode()), None);
         // A truncated keyed frame is malformed, not misread as plain.
         let cut = ExecutorReply::Pong.encode_keyed(9).slice(0..5);
         assert_eq!(ExecutorReply::decode_framed(cut), None);
@@ -928,6 +850,10 @@ mod tests {
         assert_eq!(ExecutorReply::decode(Bytes::new()), None);
     }
 
+    /// Reply deadline for calls that must succeed: far beyond any cold
+    /// start these tests trigger.
+    const TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
     fn molecule() -> Molecule {
         let m = Molecule::launch(Machine::paper_cpu_dpu_server(), MoleculeConfig::default());
         m.register_function(
@@ -948,11 +874,14 @@ mod tests {
             m2.bootstrap(ctx).unwrap(); // pre-initializes function containers
             m2.prepare_template(ctx, PuId(1), LangRuntime::Python).unwrap();
             let exec = launch_executor(&m2, ctx, PuId(1)).unwrap();
-            assert_eq!(exec.call(ctx, ExecutorCommand::Ping).unwrap(), ExecutorReply::Pong);
+            assert_eq!(
+                exec.call(ctx, ExecutorCommand::Ping, TIMEOUT).unwrap(),
+                ExecutorReply::Pong
+            );
             let t0 = ctx.now();
-            let (instance, remote_startup) = exec.cfork(ctx, &"img".into()).unwrap();
+            let (instance, remote_startup) = exec.cfork(ctx, &"img".into(), TIMEOUT).unwrap();
             let end_to_end = ctx.now() - t0;
-            exec.shutdown(ctx).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
             (instance, remote_startup, end_to_end)
         });
         sim.run().unwrap();
@@ -974,14 +903,14 @@ mod tests {
             m.prepare_template(ctx, PuId(1), LangRuntime::Python).unwrap();
             let exec = launch_executor(&m, ctx, PuId(1)).unwrap();
             let cold = match exec
-                .call(ctx, ExecutorCommand::ColdStart { func: FuncId::new("img") })
+                .call(ctx, ExecutorCommand::ColdStart { func: FuncId::new("img") }, TIMEOUT)
                 .unwrap()
             {
                 ExecutorReply::Started { startup_ns, .. } => startup_ns,
                 other => panic!("unexpected {other:?}"),
             };
-            let (_, cfork) = exec.cfork(ctx, &"img".into()).unwrap();
-            exec.shutdown(ctx).unwrap();
+            let (_, cfork) = exec.cfork(ctx, &"img".into(), TIMEOUT).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
             (cold, cfork.as_nanos())
         });
         sim.run().unwrap();
@@ -1000,9 +929,9 @@ mod tests {
             // No template prepared: the cfork must fail but the executor
             // must keep serving.
             let exec = launch_executor(&m, ctx, PuId(1)).unwrap();
-            let err = exec.cfork(ctx, &"img".into()).unwrap_err();
-            let pong = exec.call(ctx, ExecutorCommand::Ping).unwrap();
-            exec.shutdown(ctx).unwrap();
+            let err = exec.cfork(ctx, &"img".into(), TIMEOUT).unwrap_err();
+            let pong = exec.call(ctx, ExecutorCommand::Ping, TIMEOUT).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
             (err, pong)
         });
         sim.run().unwrap();
@@ -1012,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn call_ft_resends_after_a_dropped_command() {
+    fn call_resends_after_a_dropped_command() {
         let m = molecule();
         let mut sim = Simulation::new();
         let m2 = m.clone();
@@ -1028,17 +957,16 @@ mod tests {
                 hctx.sleep(SimDuration::from_micros(500));
                 plane_machine.fault_plane().set_fifo_loss(hctx.now(), PuId(0), PuId(1), 0.0);
             });
-            let reply =
-                exec.call_ft(ctx, ExecutorCommand::Ping, SimDuration::from_millis(1)).unwrap();
+            let reply = exec.call(ctx, ExecutorCommand::Ping, SimDuration::from_millis(1)).unwrap();
             assert_eq!(reply, ExecutorReply::Pong, "the re-sent command reached the executor");
-            exec.shutdown(ctx).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
         });
         sim.run().unwrap();
         assert!(m.cluster().stats().dropped_messages >= 1, "the first attempt was dropped");
     }
 
     #[test]
-    fn call_ft_discards_stale_replies_by_key() {
+    fn call_discards_stale_replies_by_key() {
         let m = molecule();
         let mut sim = Simulation::new();
         let m2 = m.clone();
@@ -1050,10 +978,10 @@ mod tests {
             // Pong is still in flight when the call gives up, leaving
             // stragglers the next call must not mistake for its own reply.
             let err =
-                exec.call_ft(ctx, ExecutorCommand::Ping, SimDuration::from_nanos(1)).unwrap_err();
+                exec.call(ctx, ExecutorCommand::Ping, SimDuration::from_nanos(1)).unwrap_err();
             assert!(matches!(err, MoleculeError::PuUnavailable(_)), "got {err:?}");
             let reply = exec
-                .call_ft(
+                .call(
                     ctx,
                     ExecutorCommand::Cfork { func: FuncId::new("img") },
                     SimDuration::from_millis(100),
@@ -1063,7 +991,7 @@ mod tests {
                 matches!(reply, ExecutorReply::Started { .. }),
                 "stale Pong accepted as the Cfork reply: {reply:?}"
             );
-            exec.shutdown(ctx).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
         });
         sim.run().unwrap();
     }
@@ -1101,7 +1029,7 @@ mod tests {
                 writer_xcalls <= 4,
                 "batch should collapse command xcalls, saw {writer_xcalls}"
             );
-            exec.shutdown(ctx).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
         });
         sim.run().unwrap();
         assert_eq!(m.instance_count(), 1);
@@ -1128,7 +1056,7 @@ mod tests {
                 .unwrap();
             assert!(matches!(replies[0], ExecutorReply::Started { .. }));
             m2.machine().fault_plane().set_fifo_dup(ctx.now(), PuId(0), PuId(1), 0.0);
-            exec.shutdown(ctx).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
         });
         sim.run().unwrap();
         assert_eq!(m.instance_count(), 1, "the duplicated Cfork must not start a second instance");
@@ -1143,12 +1071,36 @@ mod tests {
         sim.spawn("manager", move |ctx| {
             m2.prepare_template(ctx, PuId(1), LangRuntime::Python).unwrap();
             let exec = launch_executor(&m2, ctx, PuId(1)).unwrap();
-            let (instance, _) = exec.cfork(ctx, &"img".into()).unwrap();
+            let (instance, _) = exec.cfork(ctx, &"img".into(), TIMEOUT).unwrap();
             assert_eq!(m2.instance_count(), 1);
-            let reply = exec.call(ctx, ExecutorCommand::Retire { instance: instance.0 }).unwrap();
+            let reply =
+                exec.call(ctx, ExecutorCommand::Retire { instance: instance.0 }, TIMEOUT).unwrap();
             assert_eq!(reply, ExecutorReply::Retired);
             assert_eq!(m2.instance_count(), 0);
-            exec.shutdown(ctx).unwrap();
+            exec.shutdown(ctx, TIMEOUT).unwrap();
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn unkeyed_command_frames_are_dropped_unanswered() {
+        let m = molecule();
+        let mut sim = Simulation::new();
+        let m2 = m.clone();
+        sim.spawn("manager", move |ctx| {
+            m2.prepare_template(ctx, PuId(1), LangRuntime::Python).unwrap();
+            let exec = launch_executor(&m2, ctx, PuId(1)).unwrap();
+            let cfork = ExecutorCommand::Cfork { func: FuncId::new("img") };
+            exec.command_writer.write(ctx, unkeyed_frame(&cfork)).unwrap();
+            // Long enough for the frame to arrive, be served and answered.
+            ctx.sleep(SimDuration::from_millis(500));
+            assert_eq!(m2.instance_count(), 0, "an unkeyed Cfork started an instance");
+            assert_eq!(exec.reply_fifo.pending(), 0, "an unkeyed command was answered");
+            assert_eq!(
+                exec.call(ctx, ExecutorCommand::Ping, TIMEOUT).unwrap(),
+                ExecutorReply::Pong
+            );
+            exec.shutdown(ctx, TIMEOUT).unwrap();
         });
         sim.run().unwrap();
     }

@@ -13,7 +13,7 @@ use hetsim::engine::ProcCtx;
 use hetsim::pu::PuId;
 use hetsim::time::SimDuration;
 use parking_lot::Mutex;
-use vsandbox::oci::{OciRuntime, VectorizedRuntime};
+use vsandbox::oci::VectorizedRuntime;
 use vsandbox::spec::{FuncId, SandboxId, SandboxState};
 
 use crate::error::MoleculeError;
@@ -98,80 +98,12 @@ impl FpgaCacheManager {
         Ok(())
     }
 
-    /// Serves one request for `func` with `input_bytes`, re-packing the
-    /// image if the kernel is not resident. Returns the request latency and
-    /// whether it was a hit.
-    ///
-    /// # Errors
-    ///
-    /// Unknown functions, functions without FPGA profiles, device errors.
-    pub fn request(
-        &self,
-        ctx: &mut ProcCtx,
-        func: &FuncId,
-        input_bytes: u64,
-    ) -> Result<(SimDuration, bool), MoleculeError> {
-        self.check_alive()?;
-        let t0 = ctx.now();
-        let def = self
-            .molecule
-            .registry()
-            .get(func)
-            .ok_or_else(|| MoleculeError::UnknownFunction(func.clone()))?;
-        let exec = def
-            .fpga
-            .as_ref()
-            .ok_or(MoleculeError::UnsupportedPu { func: func.clone(), pu: self.pu })?
-            .exec
-            .host_time(input_bytes);
-        let runf = self
-            .molecule
-            .runf(self.pu)
-            .ok_or_else(|| MoleculeError::Internal(format!("no runf on {}", self.pu)))?
-            .clone();
-
-        let hit = self.is_resident(func);
-        if !hit {
-            // Miss: repack the image around the keep set + this function.
-            let now = ctx.now();
-            let mut pack = {
-                let mut st = self.state.lock();
-                st.policy.keep_set(now, self.capacity.saturating_sub(1))
-            };
-            pack.retain(|f| f != func && self.molecule.registry().get(f).is_some());
-            pack.push(func.clone());
-            self.molecule.cache_fpga_functions_replacing(ctx, self.pu, &pack)?;
-            let mut st = self.state.lock();
-            st.stats.misses += 1;
-            st.stats.flashes += 1;
-        } else {
-            self.state.lock().stats.hits += 1;
-        }
-
-        // Ensure the sandbox serves (warm-sandbox prep on first use after a
-        // flash), then run the kernel.
-        let sandbox = SandboxId::new(func.as_str());
-        if runf.state(ctx, &sandbox).map_err(MoleculeError::Sandbox)? != SandboxState::Running {
-            runf.start(ctx, &sandbox).map_err(MoleculeError::Sandbox)?;
-        }
-        let dma = self
-            .molecule
-            .machine()
-            .route(self.molecule.machine().host_cpu(), self.pu)
-            .transfer_time(input_bytes);
-        ctx.sleep(dma);
-        runf.invoke(ctx, &sandbox, exec).map_err(MoleculeError::Sandbox)?;
-
-        let now = ctx.now();
-        self.state.lock().policy.on_invoke(func, now, exec, 1.0);
-        Ok((now - t0, hit))
-    }
-
     /// Serves a *batch* of concurrently pending requests in one pass: all
     /// missing kernels are packed into a **single** re-flash (keep set +
     /// every missed function), then each request starts its sandbox and
-    /// runs. This is the cold-start aggregation path — N scalar misses cost
-    /// N flashes that evict each other, a batch of N costs one.
+    /// runs. This is the cold-start aggregation path — N one-request calls
+    /// that miss cost N flashes that evict each other, a batch of N costs
+    /// one. A lone request is a batch of one.
     ///
     /// Returns `(latency, hit)` per request, in input order. Latencies are
     /// measured from the batch start, so co-batched requests share the
@@ -287,6 +219,16 @@ mod tests {
         }
     }
 
+    /// One request served as a batch of one.
+    fn request(
+        m: &FpgaCacheManager,
+        ctx: &mut ProcCtx,
+        func: &FuncId,
+        input_bytes: u64,
+    ) -> (SimDuration, bool) {
+        m.request_batch(ctx, &[(func.clone(), input_bytes)]).unwrap()[0]
+    }
+
     fn setup(capacity: usize, policy: Box<dyn KeepAlivePolicy>) -> (FpgaCacheManager, Vec<FuncId>) {
         let machine = Machine::paper_f1_instance();
         let fpga = machine.pus_of_kind(PuKind::Fpga)[0];
@@ -312,8 +254,8 @@ mod tests {
         let m = mgr.clone();
         let f = funcs[0].clone();
         let out = sim.spawn("driver", move |ctx| {
-            let (cold, hit0) = m.request(ctx, &f, 4096).unwrap();
-            let (warm, hit1) = m.request(ctx, &f, 4096).unwrap();
+            let (cold, hit0) = request(&m, ctx, &f, 4096);
+            let (warm, hit1) = request(&m, ctx, &f, 4096);
             (cold, hit0, warm, hit1)
         });
         sim.run().unwrap();
@@ -335,10 +277,10 @@ mod tests {
         let out = sim.spawn("driver", move |ctx| {
             // Warm up three hot functions.
             for f in &fs[0..3] {
-                m.request(ctx, f, 1024).unwrap();
+                request(&m, ctx, f, 1024);
             }
             // A fourth function misses and triggers a repack.
-            m.request(ctx, &fs[3], 1024).unwrap();
+            request(&m, ctx, &fs[3], 1024);
             (
                 m.is_resident(&fs[0]),
                 m.is_resident(&fs[1]),
@@ -356,14 +298,14 @@ mod tests {
 
     #[test]
     fn batched_cold_starts_share_one_flash() {
-        // Scalar: each miss repacks and the flashes thrash each other.
+        // One at a time: each miss repacks and the flashes thrash each other.
         let (scalar, funcs) = setup(6, Box::new(Lru::new()));
         let mut sim = Simulation::new();
         let m = scalar.clone();
         let fs = funcs.clone();
         let scalar_done = sim.spawn("scalar", move |ctx| {
             for f in &fs[0..4] {
-                m.request(ctx, f, 1024).unwrap();
+                request(&m, ctx, f, 1024);
             }
             ctx.now()
         });
@@ -396,7 +338,7 @@ mod tests {
         let mut sim = Simulation::new();
         let m = batched.clone();
         let f0 = funcs2[0].clone();
-        let h = sim.spawn("after", move |ctx| m.request(ctx, &f0, 1024).unwrap().1);
+        let h = sim.spawn("after", move |ctx| request(&m, ctx, &f0, 1024).1);
         sim.run().unwrap();
         assert!(h.take_result().unwrap(), "post-batch request hits");
     }
@@ -412,7 +354,7 @@ mod tests {
             let pattern =
                 [0usize, 1, 2, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 4, 0, 1, 2, 0, 1, 2, 5];
             for &i in pattern.iter() {
-                m.request(ctx, &fs[i], 1024).unwrap();
+                request(&m, ctx, &fs[i], 1024);
             }
         });
         sim.run().unwrap();

@@ -28,9 +28,7 @@
 //! * [`baseline`] — Molecule-homo and the AWS Lambda / OpenWhisk models of
 //!   Fig. 9;
 //! * [`regions`] — the gateway's directory of shared-state region hosts,
-//!   feeding the scheduler's state-locality placement term;
-//! * [`metrics`] — the latency recorder with the artifact's percentile
-//!   output format.
+//!   feeding the scheduler's state-locality placement term.
 
 pub mod baseline;
 pub mod billing;
@@ -42,7 +40,6 @@ pub mod function;
 pub mod gateway;
 pub mod health;
 pub mod keepalive;
-pub mod metrics;
 pub mod proxy;
 pub mod regions;
 pub mod runtime;

@@ -10,55 +10,47 @@
 //! does not depend on the state crate: `molecule-sched` bridges the two by
 //! installing a `StateLayer` host observer that publishes into it.
 //!
-//! Density refactor: the former single `BTreeMap` under one lock made every
-//! publish contend with every lookup and made `retract_pu` — the dead-PU
-//! sweep — walk *every* region. The directory is now sharded by region-name
-//! hash (lookups and publishes on different regions take different locks)
-//! with a `PuId → region names` reverse index, so the dead-PU sweep touches
-//! only the regions the dead PU actually hosted. Host lists stay sorted
-//! `Vec`s, so every query answer is byte-identical to the `BTreeMap` model.
-//!
-//! Lock discipline: a shard lock and the reverse-index lock are never held
-//! at the same time. The reverse index may transiently hold a stale name
-//! for a PU (publish updates the shard first); `retract_pu` tolerates this
-//! by counting only real shard-side removals.
+//! A `PuId → region names` reverse index sits beside the name → hosts map
+//! under the same lock, so the dead-PU sweep touches only the regions the
+//! dead PU actually hosted. Host lists stay sorted `Vec`s, so every query
+//! answer is a sorted list.
 //!
 //! [`FunctionDef::regions`]: crate::function::FunctionDef::regions
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use hetsim::pu::PuId;
 use parking_lot::Mutex;
 
-const SHARDS: usize = 8;
+#[derive(Default)]
+struct DirectoryState {
+    /// Region name → sorted host list.
+    hosts: HashMap<String, Vec<PuId>>,
+    /// Reverse index for the dead-PU sweep: every region name a PU hosts.
+    by_pu: HashMap<PuId, HashSet<String>>,
+}
 
-struct DirectoryInner {
-    /// Region name → sorted host list, sharded by name hash.
-    shards: [Mutex<HashMap<String, Vec<PuId>>>; SHARDS],
-    /// Reverse index for the dead-PU sweep: every region name a PU has ever
-    /// been published into (pruned on retract).
-    by_pu: Mutex<HashMap<PuId, HashSet<String>>>,
+impl DirectoryState {
+    /// Removes `pu` from `region`'s host list, dropping the region once it
+    /// has no host. True if `pu` was a host.
+    fn remove_host(&mut self, region: &str, pu: PuId) -> bool {
+        let Some(hosts) = self.hosts.get_mut(region) else { return false };
+        let Ok(pos) = hosts.binary_search(&pu) else { return false };
+        hosts.remove(pos);
+        if hosts.is_empty() {
+            self.hosts.remove(region);
+        }
+        true
+    }
 }
 
 /// Tracks, per region name, the PUs currently hosting a replica. Cheap to
 /// clone; all clones share one map.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct RegionDirectory {
-    inner: Arc<DirectoryInner>,
-}
-
-impl Default for RegionDirectory {
-    fn default() -> RegionDirectory {
-        RegionDirectory {
-            inner: Arc::new(DirectoryInner {
-                shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-                by_pu: Mutex::new(HashMap::new()),
-            }),
-        }
-    }
+    state: Arc<Mutex<DirectoryState>>,
 }
 
 impl fmt::Debug for RegionDirectory {
@@ -73,45 +65,25 @@ impl RegionDirectory {
         RegionDirectory::default()
     }
 
-    fn shard(&self, region: &str) -> &Mutex<HashMap<String, Vec<PuId>>> {
-        // BuildHasherDefault<DefaultHasher> is unseeded: the shard choice is
-        // stable across processes, keeping cross-process determinism probes
-        // honest even though shard choice never leaks into query answers.
-        let h = BuildHasherDefault::<DefaultHasher>::default().hash_one(region);
-        &self.inner.shards[(h as usize) % SHARDS]
-    }
-
     /// Records that `pu` hosts a replica of `region`. Idempotent.
     pub fn publish(&self, region: &str, pu: PuId) {
-        {
-            let mut shard = self.shard(region).lock();
-            let hosts = shard.entry(region.to_string()).or_default();
-            if let Err(pos) = hosts.binary_search(&pu) {
-                hosts.insert(pos, pu);
-            }
+        let mut st = self.state.lock();
+        let hosts = st.hosts.entry(region.to_string()).or_default();
+        if let Err(pos) = hosts.binary_search(&pu) {
+            hosts.insert(pos, pu);
+            st.by_pu.entry(pu).or_default().insert(region.to_string());
         }
-        self.inner.by_pu.lock().entry(pu).or_default().insert(region.to_string());
     }
 
-    /// Records that `pu` no longer hosts `region` (detach or drop). Empty
+    /// Records that `pu` no longer hosts `region` (drop or PU death). Empty
     /// regions leave the map. Idempotent.
     pub fn retract(&self, region: &str, pu: PuId) {
-        {
-            let mut shard = self.shard(region).lock();
-            if let Some(hosts) = shard.get_mut(region) {
-                if let Ok(pos) = hosts.binary_search(&pu) {
-                    hosts.remove(pos);
-                }
-                if hosts.is_empty() {
-                    shard.remove(region);
-                }
-            }
-        }
-        let mut by_pu = self.inner.by_pu.lock();
-        if let Some(names) = by_pu.get_mut(&pu) {
+        let mut st = self.state.lock();
+        st.remove_host(region, pu);
+        if let Some(names) = st.by_pu.get_mut(&pu) {
             names.remove(region);
             if names.is_empty() {
-                by_pu.remove(&pu);
+                st.by_pu.remove(&pu);
             }
         }
     }
@@ -122,46 +94,28 @@ impl RegionDirectory {
     /// dead PU can never keep attracting stateful placements. O(regions the
     /// dead PU hosted) via the reverse index — not a walk of the directory.
     pub fn retract_pu(&self, pu: PuId) -> usize {
-        let names = match self.inner.by_pu.lock().remove(&pu) {
-            Some(names) => names,
-            None => return 0,
-        };
-        let mut retracted = 0;
-        for region in names {
-            let mut shard = self.shard(&region).lock();
-            if let Some(hosts) = shard.get_mut(&region) {
-                if let Ok(pos) = hosts.binary_search(&pu) {
-                    hosts.remove(pos);
-                    retracted += 1;
-                }
-                if hosts.is_empty() {
-                    shard.remove(&region);
-                }
-            }
-        }
-        retracted
+        let mut st = self.state.lock();
+        let names = st.by_pu.remove(&pu).unwrap_or_default();
+        names.iter().filter(|region| st.remove_host(region, pu)).count()
     }
 
     /// The PUs hosting `region`, sorted. Empty when unknown.
     pub fn hosts(&self, region: &str) -> Vec<PuId> {
-        self.shard(region).lock().get(region).cloned().unwrap_or_default()
+        self.state.lock().hosts.get(region).cloned().unwrap_or_default()
     }
 
     /// The union of hosts over several region names, sorted and deduplicated
     /// — what the placer consumes for a function's full region set.
     pub fn hosts_of_any(&self, regions: &[String]) -> Vec<PuId> {
-        let mut out = BTreeSet::new();
-        for name in regions {
-            if let Some(hosts) = self.shard(name).lock().get(name) {
-                out.extend(hosts.iter().copied());
-            }
-        }
+        let st = self.state.lock();
+        let out: BTreeSet<PuId> =
+            regions.iter().filter_map(|name| st.hosts.get(name)).flatten().copied().collect();
         out.into_iter().collect()
     }
 
     /// Number of regions with at least one host.
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock().len()).sum()
+        self.state.lock().hosts.len()
     }
 
     /// True if nothing is published.
@@ -228,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn many_regions_across_shards_stay_consistent() {
+    fn many_regions_stay_consistent() {
         let dir = RegionDirectory::new();
         for i in 0..100 {
             dir.publish(&format!("region-{i}"), PuId(i % 4));

@@ -126,7 +126,6 @@ pub struct InvokeReport {
 struct RtState {
     templates: HashMap<(PuId, LangRuntime), SandboxId>,
     instances: HashMap<InstanceId, Instance>,
-    warm: HashMap<(FuncId, PuId), Vec<InstanceId>>,
     executors: HashMap<PuId, XpuPid>,
     next_instance: u64,
     next_sandbox: u64,
@@ -202,7 +201,6 @@ impl Molecule {
                 state: Mutex::new(RtState {
                     templates: HashMap::new(),
                     instances: HashMap::new(),
-                    warm: HashMap::new(),
                     executors: HashMap::new(),
                     next_instance: 0,
                     next_sandbox: 0,
@@ -323,7 +321,6 @@ impl Molecule {
         let mut st = self.inner.state.lock();
         st.next_instance += 1;
         let id = InstanceId(st.next_instance);
-        st.warm.entry((inst.func.id.clone(), inst.pu)).or_default().push(id);
         st.instances.insert(id, inst);
         id
     }
@@ -698,12 +695,6 @@ impl Molecule {
         Ok(InvokeReport { latency, billed })
     }
 
-    /// Finds a warm instance of `func` on `pu`.
-    pub fn warm_instance(&self, func: &FuncId, pu: PuId) -> Option<InstanceId> {
-        let st = self.inner.state.lock();
-        st.warm.get(&(func.clone(), pu)).and_then(|v| v.last().copied())
-    }
-
     /// Stops and removes an instance, releasing its sandbox.
     ///
     /// # Errors
@@ -714,15 +705,13 @@ impl Molecule {
         ctx: &mut ProcCtx,
         instance: InstanceId,
     ) -> Result<(), MoleculeError> {
-        let inst = {
-            let mut st = self.inner.state.lock();
-            let inst =
-                st.instances.remove(&instance).ok_or(MoleculeError::UnknownInstance(instance.0))?;
-            if let Some(v) = st.warm.get_mut(&(inst.func.id.clone(), inst.pu)) {
-                v.retain(|i| *i != instance);
-            }
-            inst
-        };
+        let inst = self
+            .inner
+            .state
+            .lock()
+            .instances
+            .remove(&instance)
+            .ok_or(MoleculeError::UnknownInstance(instance.0))?;
         match inst.kind {
             PuKind::Fpga => {
                 let runf = self.inner.runfs.get(&inst.pu).expect("runf exists");
@@ -742,7 +731,7 @@ impl Molecule {
     }
 
     /// Purges every trace of a crashed PU from the runtime: its instances,
-    /// warm pools, templates and executor registration, then reconciles the
+    /// templates and executor registration, then reconciles the
     /// PU's `runc` book-keeping (sandboxes that were `Running` there are
     /// marked `Stopped`). No sandbox verbs are charged — the containers died
     /// with the PU; this is the control plane catching up with reality.
@@ -755,7 +744,6 @@ impl Molecule {
             for id in &dead {
                 st.instances.remove(id);
             }
-            st.warm.retain(|(_, p), _| *p != pu);
             let before = st.templates.len();
             st.templates.retain(|(p, _), _| *p != pu);
             let templates = before - st.templates.len();
@@ -915,10 +903,10 @@ mod tests {
             let started = m2
                 .start_instance(ctx, &"image-resize".into(), PuId(0), StartupKind::CforkLocal)
                 .unwrap();
-            assert_eq!(m2.warm_instance(&"image-resize".into(), PuId(0)), Some(started.instance));
-            assert_eq!(m2.warm_instance(&"image-resize".into(), PuId(1)), None);
+            assert_eq!(m2.instance_pu(started.instance), Some(PuId(0)));
+            assert_eq!(m2.instance_count(), 1);
             m2.retire_instance(ctx, started.instance).unwrap();
-            assert_eq!(m2.warm_instance(&"image-resize".into(), PuId(0)), None);
+            assert_eq!(m2.instance_pu(started.instance), None);
             assert_eq!(m2.instance_count(), 0);
         });
         sim.run().unwrap();

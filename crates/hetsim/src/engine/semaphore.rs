@@ -79,11 +79,6 @@ impl SimSemaphore {
         }
     }
 
-    /// Currently available permits.
-    pub fn available(&self) -> u64 {
-        self.inner.lock().permits
-    }
-
     /// Acquires `count` permits, blocking the simulated process (FIFO) until
     /// they are available. The permits return when the guard drops.
     pub fn acquire(&self, ctx: &mut ProcCtx, count: u64) -> SemPermit {
@@ -123,17 +118,6 @@ impl SimSemaphore {
                 }
             }
             let _ = ctx.yield_and_wait();
-        }
-    }
-
-    /// Tries to acquire without blocking.
-    pub fn try_acquire(&self, count: u64) -> Option<SemPermit> {
-        let mut inner = self.inner.lock();
-        if inner.waiters.is_empty() && inner.permits >= count {
-            inner.permits -= count;
-            Some(SemPermit { sem: self.clone(), count })
-        } else {
-            None
         }
     }
 
@@ -212,26 +196,6 @@ mod tests {
         // 5ms section, not after all three.
         let at = big.take_result().unwrap();
         assert!(at <= SimTime::from_nanos(5_010_000), "big waited too long: {at}");
-    }
-
-    #[test]
-    fn try_acquire_never_blocks_and_respects_queue() {
-        let mut sim = Simulation::new();
-        let sem = SimSemaphore::new(&sim, 1);
-        let sem2 = sem.clone();
-        let h = sim.spawn("p", move |ctx| {
-            let p1 = sem2.try_acquire(1);
-            let p2 = sem2.try_acquire(1);
-            drop(p1);
-            let p3 = sem2.try_acquire(1);
-            ctx.yield_now();
-            (p2.is_none(), p3.is_some())
-        });
-        sim.run().unwrap();
-        let (second_failed, third_ok) = h.take_result().unwrap();
-        assert!(second_failed);
-        assert!(third_ok);
-        assert_eq!(sem.available(), 1);
     }
 
     #[test]

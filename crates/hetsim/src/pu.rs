@@ -80,12 +80,6 @@ impl PuKind {
     pub fn is_general_purpose(self) -> bool {
         matches!(self, PuKind::Cpu | PuKind::Dpu | PuKind::SmartNic)
     }
-
-    /// True for domain-specific accelerators that need a *virtual* XPU-Shim
-    /// hosted on a neighbouring general-purpose PU (paper §4.1).
-    pub fn is_accelerator(self) -> bool {
-        !self.is_general_purpose()
-    }
 }
 
 impl fmt::Display for PuKind {
@@ -271,10 +265,8 @@ mod tests {
     fn kinds_partition_into_gp_and_accelerator() {
         for kind in [PuKind::Cpu, PuKind::Dpu, PuKind::SmartNic] {
             assert!(kind.is_general_purpose());
-            assert!(!kind.is_accelerator());
         }
         for kind in [PuKind::Fpga, PuKind::Gpu] {
-            assert!(kind.is_accelerator());
             assert!(!kind.is_general_purpose());
         }
     }

@@ -233,7 +233,6 @@ pub struct RackBuilder {
     calib: Calibration,
     nodes: usize,
     bf1_dpus: usize,
-    fabric_overrides: HashMap<(NodeId, NodeId), Link>,
 }
 
 impl RackBuilder {
@@ -244,12 +243,7 @@ impl RackBuilder {
     /// Panics if `nodes` is zero.
     pub fn new(nodes: usize) -> RackBuilder {
         assert!(nodes >= 1, "a rack needs at least one node");
-        RackBuilder {
-            calib: Calibration::paper_server(),
-            nodes,
-            bf1_dpus: 0,
-            fabric_overrides: HashMap::new(),
-        }
+        RackBuilder { calib: Calibration::paper_server(), nodes, bf1_dpus: 0 }
     }
 
     /// Uses a custom calibration table.
@@ -261,15 +255,6 @@ impl RackBuilder {
     /// Adds `n` BlueField-1 DPUs to every node.
     pub fn bluefield1_dpus_per_node(mut self, n: usize) -> RackBuilder {
         self.bf1_dpus = n;
-        self
-    }
-
-    /// Overrides the fabric link between two nodes (both directions) —
-    /// per-link calibration for asymmetric racks (e.g. a cross-switch pair
-    /// slower than in-chassis neighbours).
-    pub fn fabric_link(mut self, a: NodeId, b: NodeId, link: Link) -> RackBuilder {
-        self.fabric_overrides.insert((a, b), link);
-        self.fabric_overrides.insert((b, a), link);
         self
     }
 
@@ -308,16 +293,12 @@ impl RackBuilder {
                 node_of.push(node);
             }
         }
-        // Full-mesh fabric between node hosts, honouring per-pair overrides.
-        for a in 0..self.nodes {
-            for b in 0..self.nodes {
-                if a == b {
-                    continue;
+        // Full-mesh fabric between node hosts.
+        for &a in &node_hosts {
+            for &b in &node_hosts {
+                if a != b {
+                    links.insert((a, b), self.calib.fabric.link());
                 }
-                let (a, b) = (NodeId(a as u16), NodeId(b as u16));
-                let link =
-                    self.fabric_overrides.get(&(a, b)).copied().unwrap_or(self.calib.fabric.link());
-                links.insert((node_hosts[a.raw() as usize], node_hosts[b.raw() as usize]), link);
             }
         }
         Machine {
@@ -693,18 +674,12 @@ mod tests {
     }
 
     #[test]
-    fn fabric_link_overrides_and_degradation_are_per_pair() {
-        let slow =
-            Link { kind: LinkKind::RackRdma, latency: SimDuration::from_micros(20), gbps: 10.0 };
-        let rack = Machine::rack_builder(3)
-            .bluefield1_dpus_per_node(1)
-            .fabric_link(NodeId(0), NodeId(2), slow)
-            .build();
+    fn fabric_degradation_is_per_pair() {
+        let rack = Machine::rack_builder(3).bluefield1_dpus_per_node(1).build();
         let (h0, h1, h2) =
             (rack.node_host(NodeId(0)), rack.node_host(NodeId(1)), rack.node_host(NodeId(2)));
         let fast = rack.route(h0, h1).transfer_time(4096);
-        let overridden = rack.route(h0, h2).transfer_time(4096);
-        assert!(overridden > fast, "per-pair override must slow the 0-2 link");
+        assert_eq!(rack.route(h0, h2).transfer_time(4096), fast);
         // Degrading one fabric pair leaves the others untouched.
         rack.fault_plane().degrade_link(crate::time::SimTime::ZERO, h0, h1, 4.0);
         assert!(rack.route(h0, h1).transfer_time(4096) > fast);

@@ -188,7 +188,7 @@ impl RackFront {
 
     /// Bridges a [`StateLayer`] into **every** node gateway's
     /// [`RegionDirectory`](molecule_core::regions::RegionDirectory): each
-    /// replica attach/detach fans out to all directories, so any node's
+    /// replica attach or release fans out to all directories, so any node's
     /// placer sees where region pages live — including remote nodes, which
     /// the node-locality term then prefers to keep together. The layer is
     /// also remembered for the node-death sweep.

@@ -366,7 +366,7 @@ impl SchedGateway {
 
     /// Bridges a [`StateLayer`] into the gateway's
     /// [`RegionDirectory`](molecule_core::regions::RegionDirectory): every
-    /// replica attach/detach publishes or retracts a hosting record, and
+    /// replica attach or release publishes or retracts a hosting record, and
     /// the layer replays the current host set on installation. Declared
     /// [`FunctionDef::regions`] then earn [`placer::STATE_BONUS`] on
     /// hosting PUs at placement time.
@@ -516,27 +516,6 @@ impl SchedGateway {
         telemetry::counter_add("sched.rejected", 1);
         telemetry::counter_add_tenant("sched.rejected", tenant.raw(), 1);
         Err(SubmitError::Overloaded(last.expect("candidates was non-empty")))
-    }
-
-    /// Convenience wrapper: submit and block on the outcome.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Self::submit), plus [`MoleculeError::Internal`] if the
-    /// gateway shut down before the outcome arrived.
-    pub fn invoke(
-        &self,
-        ctx: &mut ProcCtx,
-        func: &FuncId,
-        input_bytes: u64,
-        opts: SubmitOpts,
-    ) -> Result<JobOutcome, SubmitError> {
-        let rx = self.submit(ctx, func, input_bytes, opts)?;
-        rx.recv(ctx).map_err(|_| {
-            SubmitError::Runtime(MoleculeError::Internal(
-                "sched gateway shut down mid-request".into(),
-            ))
-        })
     }
 
     /// Ranked candidate PUs for `def` under the configured placement mode.

@@ -50,7 +50,8 @@ fn batch_dup_scenario(sim: &mut Simulation) -> Check {
                     )
                     .map_err(|e| format!("batch: {e}"))?;
                 m2.machine().fault_plane().set_fifo_dup(ctx.now(), PuId(0), pu, 0.0);
-                exec.shutdown(ctx).map_err(|e| format!("shutdown: {e}"))?;
+                exec.shutdown(ctx, SimDuration::from_millis(500))
+                    .map_err(|e| format!("shutdown: {e}"))?;
                 Ok::<_, String>(replies)
             })
         })

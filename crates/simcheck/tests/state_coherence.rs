@@ -83,7 +83,10 @@ fn check_uniform(who: &str, bytes: &[u8]) -> Result<(), String> {
 /// Races, per region: the host master committing whole-region versions, a
 /// DPU replica pulling and reading, and a second DPU replica pushing its
 /// own remote commits. The master drops the region once both remotes are
-/// done, so quiescence can demand an empty arena.
+/// done, so quiescence can demand an empty arena. Beside each region, a
+/// racer compare-and-swaps a counter word in a region of its own on the
+/// same layer, so every `cas` publishes a version under the oracle while
+/// the commits and pulls race.
 fn commit_pull_race_scenario(sim: &mut Simulation, watch: Watch) -> Check {
     let machine = Machine::paper_cpu_dpu_server();
     let cluster = ShimCluster::deploy(machine, ShimConfig::default());
@@ -157,6 +160,29 @@ fn commit_pull_race_scenario(sim: &mut Simulation, watch: Watch) -> Check {
             let outcome = run(ctx);
             tx.send(()).ok();
             outcome
+        }));
+
+        let l = layer.clone();
+        let counter = format!("counter-{pipeline}");
+        workers.push(sim.spawn(&format!("racer-{pipeline}"), move |ctx| {
+            let err = |e: StateError| format!("racer {counter}: {e}");
+            l.create_region(ctx, PuId(1), RegionSpec::new(&counter, 1)).map_err(err)?;
+            l.attach(ctx, PuId(2), &counter).map_err(err)?;
+            for n in 0..u64::from(ROUNDS) {
+                // The only writer of its counter: every swap must land, and
+                // a pull must then read the value it swapped in.
+                if !l.cas(ctx, PuId(2), &counter, 0, n, n + 1).map_err(err)? {
+                    return Err(format!("racer {counter}: lone cas {n} -> {} failed", n + 1));
+                }
+                l.pull(ctx, PuId(2), &counter).map_err(err)?;
+                let word = l.read(ctx, PuId(2), &counter, 0, 8).map_err(err)?;
+                let seen = u64::from_le_bytes(word[..8].try_into().expect("8 bytes"));
+                if seen != n + 1 {
+                    return Err(format!("racer {counter}: read {seen} after cas to {}", n + 1));
+                }
+                ctx.sleep(SimDuration::from_micros(20));
+            }
+            l.drop_region(ctx, &counter).map_err(err)
         }));
     }
 

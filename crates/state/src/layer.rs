@@ -758,33 +758,6 @@ impl StateLayer {
         Ok(true)
     }
 
-    /// Detaches `pu`'s replica: its region-host process exits (releasing the
-    /// backing block and any COW blocks) and its daemon detaches. The master
-    /// replica cannot detach — drop the region instead.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::NotAttached`]; master detach is rejected as
-    /// [`StateError::RegionExists`] (the region still exists there).
-    pub fn detach(&self, ctx: &mut ProcCtx, pu: PuId, name: &str) -> Result<(), StateError> {
-        ctx.sleep(self.os_costs(pu).syscall);
-        let replica = {
-            let mut st = self.inner.state.lock();
-            let region = st
-                .regions
-                .get_mut()
-                .get_mut(name)
-                .ok_or_else(|| StateError::UnknownRegion(name.into()))?;
-            if region.master == pu {
-                return Err(StateError::RegionExists(name.into()));
-            }
-            region.replicas.remove(&pu).ok_or_else(|| StateError::NotAttached(name.into(), pu))?
-        };
-        self.release_replica(pu, replica);
-        self.notify(name, pu, false);
-        Ok(())
-    }
-
     /// Drops the whole region: unregisters the UUID (guard destroyed, parked
     /// slots swept, UUID-free batched on the lazy path) and releases every
     /// replica's pages and daemons.

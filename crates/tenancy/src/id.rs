@@ -23,11 +23,6 @@ impl TenantId {
     pub fn raw(self) -> u32 {
         self.0
     }
-
-    /// True for the platform domain.
-    pub fn is_system(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Display for TenantId {
@@ -43,8 +38,7 @@ mod tests {
     #[test]
     fn system_is_the_default_domain() {
         assert_eq!(TenantId::default(), TenantId::SYSTEM);
-        assert!(TenantId::SYSTEM.is_system());
-        assert!(!TenantId(3).is_system());
+        assert_eq!(TenantId::SYSTEM.raw(), 0);
         assert_eq!(TenantId(3).to_string(), "t3");
         assert_eq!(TenantId(3).raw(), 3);
     }

@@ -479,33 +479,6 @@ impl RuncRuntime {
         Ok(())
     }
 
-    /// OCI extension verb: removes a region mapping added by
-    /// [`map_region`](Self::map_region) (refcount − 1).
-    ///
-    /// # Errors
-    ///
-    /// [`SandboxError::Unknown`] / [`SandboxError::Os`] (including when the
-    /// block was never mapped into this sandbox).
-    pub fn unmap_region(
-        &self,
-        ctx: &mut ProcCtx,
-        id: &SandboxId,
-        block: BlockId,
-    ) -> Result<(), SandboxError> {
-        oci::verb_span(ctx, "runc", "unmap_region", id, |ctx| {
-            ctx.sleep(self.inner.os.costs().syscall);
-            let mut st = self.inner.state.lock();
-            let c = st.sandboxes.get_mut(id).ok_or_else(|| SandboxError::Unknown(id.clone()))?;
-            let pos = c.regions.iter().position(|b| *b == block).ok_or_else(|| {
-                SandboxError::Os(format!("{id}: region block {block:?} not mapped"))
-            })?;
-            let pid = c.os_pid.ok_or_else(|| SandboxError::Unknown(id.clone()))?;
-            self.inner.os.unmap(pid, block)?;
-            c.regions.remove(pos);
-            Ok(())
-        })
-    }
-
     /// Reconciles runtime state after the PU hosting these containers
     /// crashed: every sandbox that was `Created` or `Running` is marked
     /// [`SandboxState::Stopped`] and its process/memory reservations are

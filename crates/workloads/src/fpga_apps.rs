@@ -71,42 +71,6 @@ fn app_kernel(name: &str) -> KernelSpec {
     }
 }
 
-/// The GZip function, deployable on CPU and FPGA. Latency follows the
-/// calibrated curves via per-byte models.
-pub fn gzip_function() -> FunctionDef {
-    // Linear approximations anchored at the 112 MB endpoint for the
-    // platform-level ExecModel (the exact curves above drive the figure
-    // harness; the def is for scheduling/billing paths).
-    FunctionDef::builder("fpga-gzip", LangRuntime::Python)
-        .profiles(&[PuKind::Cpu])
-        .exec(ExecModel::PerByte { base: SimDuration::ZERO, ns_per_byte: 40.0 })
-        .fpga(
-            app_kernel("gzip-pipeline"),
-            ExecModel::PerByte { base: SimDuration::from_millis_f64(583.5), ns_per_byte: 1.46 },
-        )
-        .output_bytes(1 << 20)
-        .build()
-}
-
-/// The Anti-MoneyL function, deployable on CPU and FPGA (entry = 16 bytes).
-pub fn aml_function() -> FunctionDef {
-    FunctionDef::builder("anti-moneyl", LangRuntime::Python)
-        .profiles(&[PuKind::Cpu])
-        .exec(ExecModel::PerByte {
-            base: SimDuration::from_micros(280),
-            ns_per_byte: 0.0466 / 16.0,
-        })
-        .fpga(
-            app_kernel("aml-scan"),
-            ExecModel::PerByte {
-                base: SimDuration::from_micros(119),
-                ns_per_byte: 0.001_35 / 16.0,
-            },
-        )
-        .output_bytes(4096)
-        .build()
-}
-
 /// The Matrix-Comput function (Fig. 14h).
 pub fn matrix_comput_function() -> FunctionDef {
     FunctionDef::builder("matrix-comput", LangRuntime::Python)
@@ -176,11 +140,10 @@ mod tests {
 
     #[test]
     fn functions_expose_both_profiles() {
-        for def in [gzip_function(), aml_function(), matrix_comput_function()] {
-            assert!(def.supports(PuKind::Cpu));
-            assert!(def.supports(PuKind::Fpga));
-            assert!(def.fpga.is_some());
-        }
+        let def = matrix_comput_function();
+        assert!(def.supports(PuKind::Cpu));
+        assert!(def.supports(PuKind::Fpga));
+        assert!(def.fpga.is_some());
     }
 
     #[test]

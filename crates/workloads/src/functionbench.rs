@@ -174,11 +174,6 @@ pub fn all() -> Vec<FbWorkload> {
     ]
 }
 
-/// Looks a workload up by its paper name.
-pub fn by_name(name: &str) -> Option<FbWorkload> {
-    all().into_iter().find(|w| w.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,11 +249,8 @@ mod tests {
             assert!(def.supports(PuKind::Cpu));
             assert!(def.supports(PuKind::Dpu));
             assert!(!def.supports(PuKind::Fpga));
+            assert_eq!(def.id.as_str(), w.func_id());
         }
-        assert_eq!(by_name("matmul").unwrap().name, "Matmul");
-        assert!(by_name("nope").is_none());
-        assert_eq!(by_name("DD").unwrap().func_id(), "dd");
-        assert_eq!(by_name("Image Resize").unwrap().func_id(), "image-resize");
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! constants.
 //!
 //! Three operations — matrix scaling, matrix addition and vector
-//! multiplication — are implemented both as *real* Rust kernels (used by
-//! tests and Criterion benches to do actual work) and as calibrated latency
-//! constants for the simulated CPU/FPGA comparison (Fig. 2b: 192 µs /
-//! 324 µs / 3551 µs on the CPU, 2.15-2.82x lower on the FPGA).
+//! multiplication — as calibrated latency constants for the simulated
+//! CPU/FPGA comparison (Fig. 2b: 192 µs / 324 µs / 3551 µs on the CPU,
+//! 2.15-2.82x lower on the FPGA).
 
 use hetsim::fpga::{FpgaResources, KernelSpec};
 use hetsim::pu::PuKind;
@@ -59,67 +58,6 @@ pub fn matrix_functions() -> Vec<FunctionDef> {
         .collect()
 }
 
-// ---- Real compute kernels ----
-//
-// These do the actual arithmetic; the Criterion benches run them for real
-// and the unit tests verify the math the simulated functions stand in for.
-
-/// `C = s * A` over a row-major `n x n` matrix.
-pub fn mscale(a: &[f64], s: f64, out: &mut [f64]) {
-    assert_eq!(a.len(), out.len(), "shape mismatch");
-    for (o, &x) in out.iter_mut().zip(a.iter()) {
-        *o = s * x;
-    }
-}
-
-/// `C = A + B` over equally shaped matrices.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn madd(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "shape mismatch");
-    assert_eq!(a.len(), out.len(), "shape mismatch");
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x + y;
-    }
-}
-
-/// `y = A * x` for a row-major `n x n` matrix and an `n`-vector.
-///
-/// # Panics
-///
-/// Panics if `a.len() != n * n` or `x.len() != n`.
-pub fn vmult(a: &[f64], x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    assert_eq!(a.len(), n * n, "matrix must be n*n");
-    assert_eq!(y.len(), n, "output must be length n");
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &a[i * n..(i + 1) * n];
-        *yi = row.iter().zip(x.iter()).map(|(&m, &v)| m * v).sum();
-    }
-}
-
-/// `C = A * B` for row-major `n x n` matrices (the Matmul workload's core).
-///
-/// # Panics
-///
-/// Panics if the shapes are not `n*n`.
-pub fn matmul(a: &[f64], b: &[f64], out: &mut [f64], n: usize) {
-    assert_eq!(a.len(), n * n);
-    assert_eq!(b.len(), n * n);
-    assert_eq!(out.len(), n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for (k, &av) in a[i * n..(i + 1) * n].iter().enumerate() {
-                acc += av * b[k * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,24 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn kernels_compute_correctly() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [5.0, 6.0, 7.0, 8.0];
-        let mut out = [0.0; 4];
-        mscale(&a, 2.0, &mut out);
-        assert_eq!(out, [2.0, 4.0, 6.0, 8.0]);
-        madd(&a, &b, &mut out);
-        assert_eq!(out, [6.0, 8.0, 10.0, 12.0]);
-        let x = [1.0, 1.0];
-        let mut y = [0.0; 2];
-        vmult(&a, &x, &mut y);
-        assert_eq!(y, [3.0, 7.0]); // rows [1,2],[3,4] dot [1,1]
-        let mut c = [0.0; 4];
-        matmul(&a, &b, &mut c, 2);
-        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
     fn matrix_functions_have_dual_profiles() {
         let funcs = matrix_functions();
         assert_eq!(funcs.len(), 3);
@@ -182,12 +102,5 @@ mod tests {
             let fpga = f.fpga.as_ref().unwrap();
             assert!(fpga.exec.host_time(0) < f.exec.host_time(0), "{} FPGA must win", f.id);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn madd_rejects_mismatched_shapes() {
-        let mut out = [0.0; 2];
-        madd(&[1.0, 2.0], &[1.0], &mut out);
     }
 }

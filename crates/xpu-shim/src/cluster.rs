@@ -42,6 +42,12 @@ use crate::xcall::{bucket_representative, payload_bucket, XcallTransport};
 /// [`ShimError::XcallTimeout`] / [`ShimError::PeerDead`].
 const XCALL_TIMEOUT: SimDuration = SimDuration::from_micros(200);
 
+/// Doorbell coalescing window of the adaptive data plane: a cross-PU write
+/// that follows another write on the same (source, destination) link within
+/// this window shares its doorbell/wakeup and pays only the marginal
+/// [`XcallTransport::coalesced_cost`].
+const COALESCE_WINDOW: SimDuration = SimDuration::from_micros(25);
+
 /// Total attempts (first try included) of an idempotency-keyed XPUcall
 /// write, and of the executor's keyed command round trips.
 pub const RETRY_MAX_ATTEMPTS: u32 = 3;
@@ -67,26 +73,22 @@ pub enum TransportPolicy {
     /// size bucket)` keeps one cost estimate per transport, seeded from the
     /// calibration table and refined by an EWMA of observed call times, and
     /// every call takes the cheapest current estimate.
+    ///
+    /// The adaptive data plane also hands off writes of at least the
+    /// calibrated `segment.min_payload` zero-copy (the bytes land once in a
+    /// shared-segment slot and a capability-guarded descriptor travels
+    /// through the FIFO), and coalesces back-to-back cross-PU writes on one
+    /// link onto a single doorbell. A pinned policy does neither.
     Adaptive,
 }
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShimConfig {
-    /// Transport selection policy. The default is [`TransportPolicy::
-    /// Adaptive`]; [`ShimConfig::pinned`] restores the static pinning
-    /// (Poll on devices, Base on the CPU) the paper evaluates.
+    /// Data-plane policy. The default is [`TransportPolicy::Adaptive`];
+    /// [`ShimConfig::pinned`] restores the static pinning (Poll on devices,
+    /// Base on the CPU) the paper evaluates.
     pub transport: TransportPolicy,
-    /// Zero-copy hand-off: writes of at least the calibrated
-    /// `segment.min_payload` place their bytes once in a shared-segment slot
-    /// and send a capability-guarded descriptor through the FIFO instead of
-    /// staging the payload through the XPUcall.
-    pub zero_copy: bool,
-    /// Doorbell coalescing window: a cross-PU write that follows another
-    /// write on the same (source, destination) link within this window
-    /// shares its doorbell/wakeup and pays only the marginal
-    /// [`XcallTransport::coalesced_cost`]. `ZERO` disables coalescing.
-    pub coalesce_window: SimDuration,
     /// How many deferred UUID reclamations accumulate before a lazy flush.
     pub lazy_batch: usize,
     /// Dead-PU reclamation sweeps at most this many resources (processes or
@@ -104,8 +106,6 @@ impl Default for ShimConfig {
     fn default() -> Self {
         ShimConfig {
             transport: TransportPolicy::Adaptive,
-            zero_copy: true,
-            coalesce_window: SimDuration::from_micros(25),
             lazy_batch: 8,
             reclaim_batch: 256,
             reclaim_batch_pause: SimDuration::from_nanos(500),
@@ -124,12 +124,7 @@ impl ShimConfig {
     /// A pinned data plane with explicit per-class transports (Fig. 8 runs
     /// one series per transport).
     pub fn pinned_with(device: XcallTransport, cpu: XcallTransport) -> ShimConfig {
-        ShimConfig {
-            transport: TransportPolicy::Pinned { device, cpu },
-            zero_copy: false,
-            coalesce_window: SimDuration::ZERO,
-            ..ShimConfig::default()
-        }
+        ShimConfig { transport: TransportPolicy::Pinned { device, cpu }, ..ShimConfig::default() }
     }
 }
 
@@ -407,6 +402,12 @@ impl ShimCluster {
         self.inner.config
     }
 
+    /// True under [`TransportPolicy::Adaptive`], which also turns on the
+    /// descriptor hand-off and doorbell coalescing.
+    fn adaptive(&self) -> bool {
+        matches!(self.inner.config.transport, TransportPolicy::Adaptive)
+    }
+
     /// Number of real (non-virtual) shim instances.
     pub fn shim_count(&self) -> usize {
         self.inner.gp_pus.len()
@@ -661,7 +662,7 @@ impl ShimCluster {
         transport: XcallTransport,
         observed: SimDuration,
     ) {
-        if !matches!(self.inner.config.transport, TransportPolicy::Adaptive) {
+        if !self.adaptive() {
             return;
         }
         const ALPHA: f64 = 0.2;
@@ -1017,7 +1018,7 @@ impl ShimCluster {
         }
         let t0 = ctx.now();
         let seg = self.segment_costs();
-        let zero_copy = from != to && self.inner.config.zero_copy && size >= seg.min_payload;
+        let zero_copy = from != to && self.adaptive() && size >= seg.min_payload;
         let in_flight = if from == to {
             // Local IPC: one local FIFO hop on this PU's OS.
             let os = self.os_costs_of(from);
@@ -1035,11 +1036,10 @@ impl ShimCluster {
             // Doorbell coalescing: a write inside the window of the link's
             // last doorbell shares that wakeup and pays only the marginal
             // XPUcall cost; the first write (re)rings the doorbell.
-            let window = self.inner.config.coalesce_window;
-            let coalesced = window > SimDuration::ZERO && {
+            let coalesced = self.adaptive() && {
                 let mut st = self.inner.state.lock();
                 match st.doorbells.get(&(from, to)) {
-                    Some(&rung) if ctx.now() - rung <= window => true,
+                    Some(&rung) if ctx.now() - rung <= COALESCE_WINDOW => true,
                     _ => {
                         st.doorbells.insert((from, to), ctx.now());
                         false
@@ -1336,7 +1336,7 @@ impl ShimCluster {
         } else if route.is_fabric() {
             self.inner.state.lock().stats.fabric_transfers += 1;
         }
-        if self.inner.config.zero_copy && size >= seg.min_payload {
+        if self.adaptive() && size >= seg.min_payload {
             // Same discipline as the FIFO descriptor path: the payload moves
             // once into the shared segment, the XPUcall stages only the
             // descriptor.
@@ -2182,16 +2182,13 @@ mod tests {
 
     #[test]
     fn adaptive_matches_best_pinned_transport_per_payload() {
-        // With zero-copy and coalescing disabled, the adaptive policy's only
-        // lever is the per-(link, bucket) transport choice — it must land on
-        // the best pinned transport at every payload size.
+        // One write per cluster, below the descriptor threshold: neither
+        // the descriptor hand-off nor coalescing applies, so the adaptive
+        // policy's only lever is the per-(link, bucket) transport choice —
+        // it must land on the best pinned transport at every payload size.
         for payload in [64usize, 1024, 4096] {
-            let adaptive = ShimConfig {
-                zero_copy: false,
-                coalesce_window: SimDuration::ZERO,
-                ..ShimConfig::default()
-            };
-            let (a_us, _) = roundtrip_us(adaptive, payload);
+            let (a_us, stats) = roundtrip_us(ShimConfig::default(), payload);
+            assert_eq!((stats.descriptor_handoffs, stats.batched_xcalls), (0, 0));
             let best = XcallTransport::ALL
                 .iter()
                 .map(|&t| roundtrip_us(ShimConfig::pinned_with(t, t), payload).0)
@@ -2251,6 +2248,39 @@ mod tests {
             "a write inside the doorbell window must be cheaper: {second} vs {first}"
         );
         assert_eq!(c.stats().batched_xcalls, 1, "exactly the second write coalesces");
+    }
+
+    #[test]
+    fn descriptor_handoff_and_coalescing_follow_the_transport_policy() {
+        // Two back-to-back 64 KiB DPU -> CPU writes: large enough for the
+        // descriptor hand-off, close enough to share a doorbell.
+        let burst = |config: ShimConfig| {
+            let c = ShimCluster::deploy(Machine::paper_cpu_dpu_server(), config);
+            let mut sim = Simulation::new();
+            let c2 = c.clone();
+            sim.spawn("burst", move |ctx| {
+                let cpu = c2.shim_on(PuId(0)).unwrap();
+                let dpu = c2.shim_on(PuId(1)).unwrap();
+                let owner = cpu.attach_process();
+                let writer_pid = dpu.attach_process();
+                let fifo = cpu.xfifo_init(ctx, owner, "burst").unwrap();
+                cpu.grant_cap(ctx, owner, writer_pid, fifo.obj(), Perm::WRITE).unwrap();
+                let w = dpu.xfifo_connect(ctx, writer_pid, &fifo.uuid().clone()).unwrap();
+                for byte in [0u8, 1] {
+                    w.write(ctx, Bytes::from(vec![byte; 64 * 1024])).unwrap();
+                }
+                for byte in [0u8, 1] {
+                    assert_eq!(fifo.read(ctx).unwrap(), Bytes::from(vec![byte; 64 * 1024]));
+                }
+            });
+            sim.run().unwrap();
+            let stats = c.stats();
+            (stats.descriptor_handoffs, stats.batched_xcalls)
+        };
+        assert_eq!(burst(ShimConfig::pinned()), (0, 0), "pinned stages and rings every write");
+        let (handoffs, coalesced) = burst(ShimConfig::default());
+        assert_eq!(handoffs, 2, "adaptive hands both payloads off by descriptor");
+        assert_eq!(coalesced, 1, "adaptive coalesces the second doorbell");
     }
 
     #[test]
