@@ -23,10 +23,17 @@ cargo clippy --locked --offline --manifest-path benchmark/Cargo.toml --all-targe
 
 # Example stage: every example runs once, so the assertions inside them
 # gate CI. alexa_smart_home is the one path that turns telemetry recording
-# on; it writes alexa_trace.json (git-ignored) to the repo root.
+# on; it writes alexa_trace.json (git-ignored) to the repo root. Trace and
+# span ids are process-global, so it runs a second time and the two traces
+# must match byte for byte.
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)"
 done
+trace_dir=$(mktemp -d)
+cp alexa_trace.json "$trace_dir/first.json"
+cargo run --release -q --example alexa_smart_home >/dev/null
+cmp "$trace_dir/first.json" alexa_trace.json
+rm -rf "$trace_dir"
 
 # Bench JSON summaries land at the repo root so plotting scripts and the
 # gates below read the same committed artifacts.

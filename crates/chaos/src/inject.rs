@@ -53,11 +53,8 @@ pub fn apply(machine: &Machine, now: SimTime, action: &FaultAction) {
         // flood is realised by `spawn_injector_with_sink`; without a sink
         // the event is a logged no-op, so hardware-only harnesses can
         // replay mixed plans unchanged.
-        FaultAction::FloodTenant { tenant, .. } => {
-            telemetry::counter_add_tenant("chaos.flood_noop", tenant, 1);
-        }
+        FaultAction::FloodTenant { .. } => {}
     }
-    telemetry::with(|r| r.metrics().counter_add("chaos.injected", 1));
 }
 
 /// Both nodes' host PUs, or `None` when either node is not in the machine
@@ -129,7 +126,6 @@ pub fn spawn_injector_with_sink<F>(
                     ctx.sleep(at - ctx.now());
                 }
                 sink(ctx, tenant, sent);
-                telemetry::counter_add_tenant("chaos.flood", tenant, 1);
                 sent += 1;
             }
         });

@@ -176,11 +176,6 @@ pub fn run_chain(
             &format!("chain:{} ({:?})", spec.name, spec.comm),
             ctx.trace_ctx(),
         );
-        if let Ok(o) = &out {
-            for d in &o.end_to_end {
-                r.metrics().observe_ns("dag.end_to_end_ns", d.as_nanos());
-            }
-        }
     });
     out
 }
@@ -307,7 +302,6 @@ fn run_ipc_chain(
                 let t_exec = sctx.now();
                 sctx.sleep(exec);
                 telemetry::with(|r| {
-                    r.metrics().observe_ns("dag.hop_ns", hop_lat.as_nanos());
                     r.complete_span(
                         sctx.lane(),
                         t_exec.as_nanos(),
@@ -432,7 +426,6 @@ fn run_http_chain(
                 let t_exec = sctx.now();
                 sctx.sleep(exec);
                 telemetry::with(|r| {
-                    r.metrics().observe_ns("dag.hop_ns", hop_lat.as_nanos());
                     r.complete_span(
                         sctx.lane(),
                         t_exec.as_nanos(),

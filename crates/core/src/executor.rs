@@ -383,7 +383,6 @@ impl ExecutorHandle {
         while self.reply_fifo.try_read(ctx).is_ok() {}
         let key = self.cluster.fresh_idempotency_key();
         let frame = command.encode_keyed(key, ctx.trace_ctx());
-        let t0 = ctx.now();
         for attempt in 0..RETRY_MAX_ATTEMPTS {
             match self.command_writer.write_with_retry(ctx, frame.clone()) {
                 Ok(()) => {}
@@ -397,7 +396,6 @@ impl ExecutorHandle {
             // or duplicated deliveries).
             loop {
                 if ctx.now() >= deadline {
-                    telemetry::with(|r| r.metrics().counter_add("executor.call_retries", 1));
                     break;
                 }
                 match self.reply_fifo.read_timeout(ctx, deadline - ctx.now()) {
@@ -406,15 +404,8 @@ impl ExecutorHandle {
                             MoleculeError::Internal("malformed executor reply".to_owned())
                         })?;
                         if rkey != key {
-                            telemetry::with(|r| {
-                                r.metrics().counter_add("executor.stale_replies", 1);
-                            });
                             continue;
                         }
-                        telemetry::with(|r| {
-                            r.metrics().counter_add("executor.calls", 1);
-                            r.metrics().observe_ns("executor.call_ns", (ctx.now() - t0).as_nanos());
-                        });
                         if let ExecutorReply::Failed { reason } = &reply {
                             return Err(MoleculeError::Internal(format!(
                                 "executor failed: {reason}"
@@ -422,10 +413,7 @@ impl ExecutorHandle {
                         }
                         return Ok(reply);
                     }
-                    Err(ShimError::FifoTimeout) => {
-                        telemetry::with(|r| r.metrics().counter_add("executor.call_retries", 1));
-                        break;
-                    }
+                    Err(ShimError::FifoTimeout) => break,
                     Err(e) => return Err(e.into()),
                 }
             }
@@ -492,10 +480,6 @@ impl ExecutorHandle {
                         })?;
                         if keys.contains(&rkey) {
                             replies.insert(rkey, reply);
-                        } else {
-                            telemetry::with(|r| {
-                                r.metrics().counter_add("executor.stale_replies", 1);
-                            });
                         }
                     }
                     Err(ShimError::FifoTimeout) => break,
@@ -505,7 +489,6 @@ impl ExecutorHandle {
             if replies.len() == commands.len() {
                 break;
             }
-            telemetry::with(|r| r.metrics().counter_add("executor.call_retries", 1));
         }
         if replies.len() < commands.len() {
             return Err(MoleculeError::PuUnavailable(self.pu));
@@ -518,9 +501,6 @@ impl ExecutorHandle {
                 &format!("executor:call_batch pu{} n={}", self.pu.0, commands.len()),
                 ctx.trace_ctx(),
             );
-            r.metrics().counter_add("executor.calls", commands.len() as u64);
-            r.metrics().counter_add("executor.batched_calls", commands.len() as u64);
-            r.metrics().observe_ns("executor.call_ns", (ctx.now() - t0).as_nanos());
         });
         let mut out = Vec::with_capacity(commands.len());
         for k in &keys {
@@ -588,11 +568,9 @@ fn serve_one(
     let Some((command, span, key)) = ExecutorCommand::decode_framed(raw) else {
         // No key (or no decodable command): no caller can match a reply to
         // it, so it is dropped unanswered.
-        telemetry::with(|r| r.metrics().counter_add("executor.dropped_commands", 1));
         return Served::Continue;
     };
     if let Some(cached) = served.get(key) {
-        telemetry::with(|r| r.metrics().counter_add("executor.dup_commands", 1));
         return match reply_writer.write(ectx, cached.clone()) {
             Ok(()) => Served::Continue,
             Err(_) => Served::Stop,
@@ -699,24 +677,10 @@ pub fn launch_executor(
         let mut served = ReplyCache::new(SERVED_CACHE_CAP);
         loop {
             let Ok(raw) = command_fifo.read(ectx) else { return };
-            // Command backlog still buffered behind the one just taken: the
-            // executor-side view of queueing pressure on this PU.
-            telemetry::with(|r| {
-                r.metrics().gauge_set(
-                    &format!("executor.pu{}.cmd_backlog", pu.0),
-                    command_fifo.pending() as i64,
-                );
-            });
             // A vectorized frame carries several commands behind one
             // doorbell; each sub-frame goes through the same dedup/reply
             // path as a lone command.
-            let frames = match decode_batch(&raw) {
-                Some(frames) => {
-                    telemetry::with(|r| r.metrics().counter_add("executor.batch_frames", 1));
-                    frames
-                }
-                None => vec![raw],
-            };
+            let frames = decode_batch(&raw).unwrap_or_else(|| vec![raw]);
             for frame in frames {
                 match serve_one(&molecule_for_exec, ectx, pu, &reply_writer, &mut served, frame) {
                     Served::Continue => {}

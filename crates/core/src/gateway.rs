@@ -245,9 +245,6 @@ impl ApiGateway {
         dead_funcs.retain(|f| !st.live_funcs.contains_key(f));
         dead_funcs.sort();
         st.policy.forget_many(&dead_funcs);
-        telemetry::with(|r| {
-            r.metrics().counter_add("gateway.purged_instances", purged.len() as u64);
-        });
         purged.len()
     }
 
@@ -284,19 +281,9 @@ impl ApiGateway {
             ctx.set_trace_ctx(req_span);
         }
         let out = self.do_handle_request(ctx, func, input_bytes);
-        telemetry::with(|r| {
-            if let Some(span) = req_span {
-                r.end_span(ctx.lane(), ctx.now().as_nanos(), span);
-            }
-            match &out {
-                Ok(rep) => {
-                    let kind = if rep.cold_start { "cold" } else { "warm" };
-                    r.metrics().counter_add(&format!("gateway.requests.{kind}"), 1);
-                    r.metrics().observe_ns("gateway.request_ns", rep.latency.as_nanos());
-                }
-                Err(_) => r.metrics().counter_add("gateway.requests.err", 1),
-            }
-        });
+        if let Some(span) = req_span {
+            telemetry::with(|r| r.end_span(ctx.lane(), ctx.now().as_nanos(), span));
+        }
         ctx.set_trace_ctx(prev);
         out
     }
@@ -316,7 +303,6 @@ impl ApiGateway {
                 self.mark_pu_unschedulable(bad);
                 self.state.lock().stats.failed_over += 1;
                 telemetry::with(|r| {
-                    r.metrics().counter_add("gateway.failovers", 1);
                     r.instant(
                         ctx.lane(),
                         ctx.now().as_nanos(),
@@ -393,10 +379,7 @@ impl ApiGateway {
         input_bytes: u64,
     ) -> Result<RequestReport, MoleculeError> {
         let def = self.function(func)?;
-        let report = self.serve_on(ctx, &def, pu, input_bytes)?;
-        let kind = if report.cold_start { "cold" } else { "warm" };
-        telemetry::with(|r| r.metrics().counter_add(&format!("gateway.requests.{kind}"), 1));
-        Ok(report)
+        self.serve_on(ctx, &def, pu, input_bytes)
     }
 
     /// The registered definition of `func`.
@@ -501,7 +484,6 @@ impl ApiGateway {
         }
         self.state.lock().stats.degraded += 1;
         telemetry::with(|r| {
-            r.metrics().counter_add("gateway.degraded", 1);
             r.instant(
                 ctx.lane(),
                 ctx.now().as_nanos(),
@@ -555,7 +537,6 @@ impl ApiGateway {
         for inst in to_retire {
             self.molecule.retire_instance(ctx, inst)?;
         }
-        telemetry::with(|r| r.metrics().counter_add("gateway.reaped", count as u64));
         Ok(count)
     }
 

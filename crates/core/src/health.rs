@@ -287,7 +287,6 @@ impl HealthChecker {
         if reopened {
             let machine = self.gateway.molecule().machine().clone();
             machine.fault_plane().note(ctx.now(), &format!("recover: circuit closed for {pu}"));
-            telemetry::with(|r| r.metrics().counter_add("health.circuit_closed", 1));
         }
     }
 
@@ -317,7 +316,6 @@ impl HealthChecker {
             self.gateway.mark_pu_unschedulable(pu);
             let machine = self.gateway.molecule().machine().clone();
             machine.fault_plane().note(ctx.now(), &format!("recover: circuit opened for {pu}"));
-            telemetry::with(|r| r.metrics().counter_add("health.circuit_open", 1));
         }
         None
     }
@@ -361,9 +359,6 @@ impl HealthChecker {
                 &format!("recover-pu{}", pu.0),
                 ctx.trace_ctx(),
             );
-            r.metrics().counter_add("health.pus_declared_dead", 1);
-            r.metrics().observe_ns("health.detect_ns", detect_latency.as_nanos());
-            r.metrics().observe_ns("health.recover_ns", recovery_latency.as_nanos());
         });
         let report = RecoveryReport {
             pu,

@@ -355,12 +355,6 @@ impl Molecule {
                 &format!("startup:{kind} {func}->pu{}", pu.0),
                 ctx.trace_ctx(),
             );
-            match &out {
-                Ok(rep) => r
-                    .metrics()
-                    .observe_ns(&format!("molecule.startup_ns.{kind}"), rep.latency.as_nanos()),
-                Err(_) => r.metrics().counter_add("molecule.startup.err", 1),
-            }
         });
         out
     }
@@ -683,7 +677,6 @@ impl Molecule {
                 &format!("invoke {}", func.id),
                 ctx.trace_ctx(),
             );
-            r.metrics().observe_ns("molecule.invoke_ns", latency.as_nanos());
         });
         let billed = {
             let mut st = self.inner.state.lock();
@@ -752,10 +745,6 @@ impl Molecule {
         };
         let sandboxes_reconciled =
             self.inner.runcs.get(&pu).map_or(0, |runc| runc.reconcile_lost().len());
-        telemetry::with(|r| {
-            r.metrics().counter_add("molecule.purged_instances", instances.len() as u64);
-            r.metrics().counter_add("molecule.purged_pus", 1);
-        });
         PurgeReport { pu, instances, templates, executor_dropped, sandboxes_reconciled }
     }
 

@@ -91,8 +91,8 @@ fn quiet_probe_rounds_stay_allocation_lean() {
 
     let mut sim = Simulation::new();
     let out = sim.spawn("probe-loop", move |ctx| {
-        // Warm-up: first rounds pay one-time lazy costs (telemetry counter
-        // registration, transport caches) that are not per-round churn.
+        // Warm-up: first rounds pay one-time lazy costs (transport caches)
+        // that are not per-round churn.
         for _ in 0..5 {
             hc.probe_round(ctx);
         }

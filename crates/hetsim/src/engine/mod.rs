@@ -259,7 +259,7 @@ impl EngineState {
             if let Some(trace) = self.trace.as_mut() {
                 trace.push(format!("{t} {}", slot.name));
             }
-            let dispatch = telemetry::engine_instants().then(|| (t, slot.name.clone()));
+            let dispatch = telemetry::enabled().then(|| (t, slot.name.clone()));
             return Step::Resume { proc, reason, start: slot.start.take(), dispatch };
         }
     }
@@ -288,15 +288,12 @@ pub(crate) struct EngineShared {
 }
 
 /// Emits the "wake proc#N" engine instant, outside any engine lock and only
-/// when the engine telemetry lane is enabled (the format! is never built
-/// otherwise).
+/// when recording is enabled (`with` never builds the format! otherwise).
 #[inline]
 fn wake_instant(at: SimTime, proc: ProcId) {
-    if telemetry::engine_instants() {
-        telemetry::with(|r| {
-            r.instant(telemetry::ENGINE_LANE, at.as_nanos(), &format!("wake {proc}"), None);
-        });
-    }
+    telemetry::with(|r| {
+        r.instant(telemetry::ENGINE_LANE, at.as_nanos(), &format!("wake {proc}"), None);
+    });
 }
 
 /// Records a resume's dispatch, outside the engine lock.
@@ -306,7 +303,6 @@ fn announce(dispatch: Option<(SimTime, String)>) {
             r.instant(telemetry::ENGINE_LANE, at.as_nanos(), &format!("dispatch {name}"), None);
         });
     }
-    telemetry::counter_add("engine.dispatches", 1);
 }
 
 impl EngineShared {

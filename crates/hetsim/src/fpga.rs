@@ -224,7 +224,6 @@ struct DeviceState {
     /// Images whose composed bitstream is cached host-side (cheaper flash).
     flash_cache: HashSet<ImageId>,
     banks: Vec<DramBank>,
-    retention_enabled: bool,
     faults: Option<FaultPlane>,
 }
 
@@ -265,7 +264,6 @@ impl FpgaDevice {
                     current: None,
                     flash_cache: HashSet::new(),
                     banks,
-                    retention_enabled: true,
                     faults: None,
                 }),
             }),
@@ -287,11 +285,6 @@ impl FpgaDevice {
         self.inner.timings
     }
 
-    /// Enables or disables DRAM data retention across image loads.
-    pub fn set_retention(&self, enabled: bool) {
-        self.inner.state.lock().retention_enabled = enabled;
-    }
-
     /// Connects the machine's fault plane so injected bitstream-load
     /// failures reach this device ([`Machine::build`] does this).
     ///
@@ -309,8 +302,7 @@ impl FpgaDevice {
     /// Composes + flashes `image`. If the image's bitstream is already in the
     /// host-side flash cache, the cheaper `load_cached` cost applies.
     ///
-    /// With retention enabled, DRAM bank contents survive the load (§4.3);
-    /// otherwise they are cleared, forcing the copy-twice communication path.
+    /// DRAM bank contents survive the load (data retention, §4.3).
     ///
     /// # Errors
     ///
@@ -344,11 +336,6 @@ impl FpgaDevice {
         ctx.sleep(cost);
         let mut st = self.inner.state.lock();
         st.flash_cache.insert(image.id);
-        if !st.retention_enabled {
-            for bank in &mut st.banks {
-                bank.buffers.clear();
-            }
-        }
         st.current = Some(image.clone());
         Ok(())
     }
@@ -435,19 +422,6 @@ impl FpgaDevice {
         let st = self.inner.state.lock();
         let slot = st.banks.get(bank as usize).ok_or(FpgaError::NoSuchBank(bank))?;
         slot.buffers.get(name).copied().ok_or_else(|| FpgaError::NoSuchBuffer(name.to_owned()))
-    }
-
-    /// Clears a retained buffer (the wrapper's responsibility for sensitive
-    /// data, §4.3).
-    ///
-    /// # Errors
-    ///
-    /// [`FpgaError::NoSuchBank`] if the bank index is out of range.
-    pub fn clear_buffer(&self, bank: u32, name: &str) -> Result<(), FpgaError> {
-        let mut st = self.inner.state.lock();
-        let slot = st.banks.get_mut(bank as usize).ok_or(FpgaError::NoSuchBank(bank))?;
-        slot.buffers.remove(name);
-        Ok(())
     }
 }
 
@@ -547,28 +521,10 @@ mod tests {
             dev2.load_image(ctx, &img1).unwrap();
             dev2.retain_buffer(0, "chain-data", 4096).unwrap();
             dev2.load_image(ctx, &img2).unwrap();
-            let survived = dev2.retained_buffer(0, "chain-data");
-            dev2.set_retention(false);
-            dev2.retain_buffer(0, "volatile", 1).unwrap();
-            dev2.load_image(ctx, &img1).unwrap();
-            let gone = dev2.retained_buffer(0, "volatile");
-            (survived, gone)
+            dev2.retained_buffer(0, "chain-data")
         });
         sim.run().unwrap();
-        let (survived, gone) = h.take_result().unwrap();
-        assert_eq!(survived, Ok(4096));
-        assert_eq!(gone, Err(FpgaError::NoSuchBuffer("volatile".to_owned())));
-    }
-
-    #[test]
-    fn clear_buffer_wipes_sensitive_data() {
-        let dev = device();
-        dev.retain_buffer(1, "secret", 128).unwrap();
-        dev.clear_buffer(1, "secret").unwrap();
-        assert_eq!(
-            dev.retained_buffer(1, "secret"),
-            Err(FpgaError::NoSuchBuffer("secret".to_owned()))
-        );
+        assert_eq!(h.take_result().unwrap(), Ok(4096));
         assert_eq!(dev.retain_buffer(99, "x", 1), Err(FpgaError::NoSuchBank(99)));
     }
 

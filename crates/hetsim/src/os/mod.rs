@@ -489,25 +489,6 @@ impl LocalOs {
         Ok(())
     }
 
-    /// Copy-on-write break: converts `pages` of a shared block into private
-    /// pages of `pid` (the block's share shrinks accordingly for this
-    /// process). Models a forked child touching template memory.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::NoSuchProcess`] if the PID is unknown.
-    pub fn cow_break(&self, pid: OsPid, block: BlockId, pages: u64) -> Result<BlockId, OsError> {
-        let mut st = self.inner.state.lock();
-        if !st.procs.contains_key(&pid) {
-            return Err(OsError::NoSuchProcess(pid));
-        }
-        let moved = st.memory.split_off(block, pages);
-        let private = st.memory.alloc(moved);
-        let proc = st.procs.get_mut(&pid).expect("checked above");
-        proc.memory.push(private);
-        Ok(private)
-    }
-
     /// Live mapping count of a memory block (0 once freed).
     pub fn block_refs(&self, block: BlockId) -> u32 {
         self.inner.state.lock().memory.refs(block)
@@ -654,22 +635,17 @@ mod tests {
         let os2 = os.clone();
         let h = sim.spawn("init", move |ctx| {
             let parent = os2.register_process("tmpl", 1);
-            let block = os2.map_private(parent, 100).unwrap();
+            os2.map_private(parent, 100).unwrap();
             let child = os2.fork(ctx, parent).unwrap();
-            (parent, child, block)
+            (parent, child)
         });
         sim.run().unwrap();
-        let (parent, child, block) = h.take_result().unwrap();
+        let (parent, child) = h.take_result().unwrap();
         let page = 4096;
         assert_eq!(os.rss_bytes(parent, page), Some(100 * page));
         assert_eq!(os.rss_bytes(child, page), Some(100 * page));
         // Shared: each side's PSS is half.
         assert_eq!(os.pss_bytes(child, page), Some(50.0 * page as f64));
-        // COW break 40 pages in the child: child now has 60 shared + 40 private.
-        os.cow_break(child, block, 40).unwrap();
-        assert_eq!(os.rss_bytes(child, page), Some(100 * page));
-        let pss = os.pss_bytes(child, page).unwrap();
-        assert_eq!(pss, (60.0 / 2.0 + 40.0) * page as f64);
     }
 
     #[test]

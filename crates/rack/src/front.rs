@@ -253,7 +253,6 @@ impl RackFront {
                     ))));
                 }
             }
-            telemetry::with(|r| r.metrics().counter_add("rack.routed", 1));
             return self.gateway(owner).submit(ctx, func, input_bytes, opts);
         }
     }
@@ -311,7 +310,6 @@ impl RackFront {
             }
             self.molecule.cluster().reclaim_pu(ctx, pu);
         }
-        telemetry::with(|r| r.metrics().counter_add("rack.node_deaths", 1));
         pus.len()
     }
 

@@ -203,8 +203,7 @@ pub struct SchedStats {
 }
 
 /// Per-tenant slice of the gateway's ledger, kept alongside [`SchedStats`]
-/// so the bench harnesses and the tenancy smoke gates can audit isolation
-/// without parsing telemetry.
+/// so the bench harnesses and the tenancy smoke gates can audit isolation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TenantLedger {
     /// Requests this tenant offered to `submit`.
@@ -422,8 +421,6 @@ impl SchedGateway {
                     let led = sh.ledger.entry(tenant).or_default();
                     led.rejected += 1;
                     led.rate_denied += 1;
-                    drop(sh);
-                    telemetry::counter_add_tenant("sched.rate_denied", tenant.raw(), 1);
                     return Err(SubmitError::Overloaded(Overloaded::RateLimited { tenant }));
                 }
             }
@@ -487,7 +484,6 @@ impl SchedGateway {
             };
             if let Some(victim) = evicted {
                 self.api.note_shed(&victim.payload.func, now);
-                telemetry::counter_add_tenant("sched.shed", victim.tenant.raw(), 1);
                 let _ = victim.payload.reply.send(JobOutcome::Shed {
                     pu: cand.pu,
                     waited: victim.waited,
@@ -496,7 +492,6 @@ impl SchedGateway {
             }
             match offered {
                 Ok(_ticket) => {
-                    self.publish_depth(cand.pu);
                     self.wake_pu(cand.pu);
                     return Ok(rx);
                 }
@@ -513,8 +508,6 @@ impl SchedGateway {
             sh.ledger.entry(tenant).or_default().rejected += 1;
         }
         self.api.note_shed(func, now);
-        telemetry::counter_add("sched.rejected", 1);
-        telemetry::counter_add_tenant("sched.rejected", tenant.raw(), 1);
         Err(SubmitError::Overloaded(last.expect("candidates was non-empty")))
     }
 
@@ -590,8 +583,6 @@ impl SchedGateway {
                 };
                 for entry in expired {
                     self.api.note_shed(&entry.payload.func, now);
-                    telemetry::counter_add("sched.shed", 1);
-                    telemetry::counter_add_tenant("sched.shed", entry.tenant.raw(), 1);
                     let _ = entry.payload.reply.send(JobOutcome::Shed {
                         pu,
                         waited: entry.waited,
@@ -599,7 +590,6 @@ impl SchedGateway {
                     });
                 }
                 let Some(job) = job else { break };
-                self.publish_depth(pu);
                 if self.caches.contains_key(&pu) {
                     self.serve_fpga(ctx, pu, job);
                 } else {
@@ -661,7 +651,6 @@ impl SchedGateway {
                     let mut sh = self.shared.lock();
                     sh.stats.batches += 1;
                     sh.stats.batched_cold_starts += cold;
-                    telemetry::counter_add("sched.batched_cold_starts", cold);
                 }
                 for (job, (_, hit)) in batch.into_iter().zip(results) {
                     self.complete(ctx, pu, job, serve_start, !hit);
@@ -707,10 +696,7 @@ impl SchedGateway {
             sh.stats.completed += 1;
             sh.ledger.entry(job.tenant).or_default().completed += 1;
         }
-        telemetry::observe_ns("sched.service", service.as_nanos());
         let latency = ctx.now().saturating_duration_since(job.payload.submitted_at);
-        telemetry::observe_ns_tenant("sched.latency", job.tenant.raw(), latency.as_nanos());
-        telemetry::counter_add_tenant("sched.completed", job.tenant.raw(), 1);
         let _ = job.payload.reply.send(JobOutcome::Completed { latency, pu, cold });
     }
 
@@ -724,7 +710,6 @@ impl SchedGateway {
             }
             sh.stats.failed += 1;
         }
-        telemetry::counter_add("sched.failed", 1);
         let _ = job.payload.reply.send(JobOutcome::Failed(err.to_string()));
     }
 
@@ -785,7 +770,6 @@ impl SchedGateway {
                         );
                         sh.stats.requeued += 1;
                     }
-                    telemetry::counter_add("sched.requeued", 1);
                     to_wake.insert(target);
                 }
                 None => {
@@ -798,7 +782,6 @@ impl SchedGateway {
             }
         }
         for pu in to_wake {
-            self.publish_depth(pu);
             self.wake_pu(pu);
         }
     }
@@ -812,19 +795,6 @@ impl SchedGateway {
         for tx in sh.wakes.get(&pu).into_iter().flatten() {
             let _ = tx.send(());
         }
-    }
-
-    fn publish_depth(&self, pu: PuId) {
-        // Gauge-only path: skip the lock *and* the name formatting entirely
-        // when no recorder is attached.
-        if !telemetry::enabled() {
-            return;
-        }
-        let depth = {
-            let sh = self.shared.lock();
-            sh.queues.get(&pu).map_or(0, RunQueue::queued)
-        };
-        telemetry::gauge_set(&format!("sched.pu{}.queue_depth", pu.0), depth as i64);
     }
 }
 

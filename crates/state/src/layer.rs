@@ -249,7 +249,6 @@ impl StateLayer {
                 },
             );
         }
-        telemetry::counter_add("state.regions_created", 1);
         self.notify(&name, master, true);
         Ok(())
     }
@@ -335,7 +334,6 @@ impl StateLayer {
             let size = region.spec.size_bytes() as usize;
             region.replicas.insert(pu, Replica::new(size, host_pid, block, daemon));
         }
-        telemetry::counter_add("state.attaches", 1);
         self.notify(name, pu, true);
         // Fresh replicas start at version 0; catch up to the master now
         // (still under the single-flight gate, so concurrent pulls dedup).
@@ -452,7 +450,6 @@ impl StateLayer {
                     staging.blocks.push((writer, b));
                 }
             }
-            telemetry::counter_add("state.cow_breaks", cow_broken);
         }
         Ok(())
     }
@@ -613,7 +610,6 @@ impl StateLayer {
                 &format!("state-commit {name}"),
                 ctx.trace_ctx(),
             );
-            r.metrics().counter_add("state.commits", 1);
         });
         Ok(version)
     }
@@ -698,7 +694,6 @@ impl StateLayer {
                 &format!("state-pull {name}"),
                 ctx.trace_ctx(),
             );
-            r.metrics().counter_add("state.pulls", 1);
         });
         Ok(version)
     }
@@ -747,14 +742,12 @@ impl StateLayer {
         let current = u64::from_le_bytes(
             master_replica.committed.bytes()[lo..lo + 8].try_into().expect("8 bytes"),
         );
-        telemetry::counter_add("state.cas_attempts", 1);
         if current != expected {
             return Ok(false);
         }
         master_replica.committed.bytes_mut()[lo..lo + 8].copy_from_slice(&new.to_le_bytes());
         master_replica.version = floor + 1;
         region.floor += 1;
-        telemetry::counter_add("state.cas_swaps", 1);
         Ok(true)
     }
 
@@ -786,7 +779,6 @@ impl StateLayer {
                 self.notify(name, pu, false);
             }
         }
-        telemetry::counter_add("state.regions_dropped", 1);
         Ok(())
     }
 
@@ -862,9 +854,6 @@ impl StateLayer {
         for (name, pu) in dropped_hosts {
             self.notify(&name, pu, false);
         }
-        if !lost.is_empty() {
-            telemetry::counter_add("state.regions_lost", lost.len() as u64);
-        }
         // Phase 2: re-register each re-mastered region cluster-wide and
         // re-grant the surviving replicas their capabilities.
         let mut remastered = Vec::new();
@@ -896,7 +885,6 @@ impl StateLayer {
                     let _ = shim.grant_cap(ctx, daemon, peer, guard, Perm::READ | Perm::WRITE);
                 }
             }
-            telemetry::counter_add("state.remasters", 1);
             remastered.push(name);
         }
         remastered

@@ -9,8 +9,6 @@
 //!   vectors, so a single request is one trace even as it hops CPU → DPU →
 //!   FPGA. Each PU records into its own lane buffer; [`Recorder::events`]
 //!   merges the lanes deterministically by `(virtual time, lane, sequence)`.
-//! * **Metrics** — a registry of counters, gauges and log2-bucketed
-//!   virtual-time [`Histogram`]s with mergeable [`MetricsSnapshot`]s.
 //! * **Exporters** — Chrome `trace_event` JSON (one lane per PU, see
 //!   [`chrome`]) and the machine-readable bench summaries every figure
 //!   binary writes as `BENCH_<figure>.json` (see [`bench`](mod@bench)).
@@ -49,14 +47,10 @@ pub mod bench;
 pub mod chrome;
 pub mod flight;
 mod json;
-pub mod metrics;
 pub mod recorder;
 
 pub use bench::BenchSummary;
 pub use flight::{FlightEvent, FlightRecorder};
-pub use metrics::{
-    split_tenant_metric, tenant_metric, Histogram, MetricsRegistry, MetricsSnapshot,
-};
 pub use recorder::{Event, EventKind, Recorder};
 
 use std::fmt;
@@ -181,20 +175,12 @@ pub fn uninstall() {
 }
 
 /// True if a global recorder is installed and enabled.
+///
+/// The engine checks this before it formats its per-event "wake"/"dispatch"
+/// lane instants, so the disabled path is one relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// True when a recorder is enabled, so the engine records its per-event
-/// lane instants ("wake"/"dispatch").
-///
-/// The engine checks this before formatting "wake proc#N" / "dispatch"
-/// strings, so the disabled path is one relaxed atomic load and zero
-/// allocation.
-#[inline]
-pub fn engine_instants() -> bool {
-    enabled()
 }
 
 /// Runs `f` against the global recorder, or does nothing when disabled.
@@ -231,36 +217,6 @@ pub fn span(
 #[inline]
 pub fn instant(pu: u16, t_ns: u64, name: &str, ctx: Option<SpanContext>) {
     with(|r| r.instant(pu, t_ns, name, ctx));
-}
-
-/// Increments the named counter in the global metrics registry.
-#[inline]
-pub fn counter_add(name: &str, delta: u64) {
-    with(|r| r.metrics().counter_add(name, delta));
-}
-
-/// Sets the named gauge in the global metrics registry.
-#[inline]
-pub fn gauge_set(name: &str, value: i64) {
-    with(|r| r.metrics().gauge_set(name, value));
-}
-
-/// Records a virtual-time sample (nanoseconds) into the named histogram.
-#[inline]
-pub fn observe_ns(name: &str, ns: u64) {
-    with(|r| r.metrics().observe_ns(name, ns));
-}
-
-/// Increments the tenant-labelled counter `base{tenant=N}`.
-#[inline]
-pub fn counter_add_tenant(base: &str, tenant: u32, delta: u64) {
-    with(|r| r.metrics().counter_add_tenant(base, tenant, delta));
-}
-
-/// Records a sample into the tenant-labelled histogram `base{tenant=N}`.
-#[inline]
-pub fn observe_ns_tenant(base: &str, tenant: u32, ns: u64) {
-    with(|r| r.metrics().observe_ns_tenant(base, tenant, ns));
 }
 
 /// Dumps the flight-recorder ring, if a recorder is installed.

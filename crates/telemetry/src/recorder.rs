@@ -13,7 +13,6 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use crate::flight::FlightRecorder;
-use crate::metrics::MetricsRegistry;
 use crate::{SpanContext, SpanId};
 
 /// What an [`Event`] describes.
@@ -80,7 +79,6 @@ struct Inner {
 #[derive(Default)]
 pub struct Recorder {
     inner: Mutex<Inner>,
-    metrics: MetricsRegistry,
     flight: FlightRecorder,
 }
 
@@ -92,16 +90,7 @@ impl Recorder {
 
     /// An empty recorder whose flight ring keeps the last `capacity` events.
     pub fn with_flight_capacity(capacity: usize) -> Recorder {
-        Recorder {
-            inner: Mutex::default(),
-            metrics: MetricsRegistry::default(),
-            flight: FlightRecorder::with_capacity(capacity),
-        }
-    }
-
-    /// The metrics registry that rides along with this recorder.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        Recorder { inner: Mutex::default(), flight: FlightRecorder::with_capacity(capacity) }
     }
 
     /// The flight-recorder ring that rides along with this recorder.
@@ -198,7 +187,7 @@ impl Recorder {
         std::fs::write(path, self.chrome_trace())
     }
 
-    /// Drops every recorded event and lane (metrics and flight ring stay).
+    /// Drops every recorded event and lane (the flight ring stays).
     pub fn clear(&self) {
         self.lock().lanes.clear();
     }

@@ -16,8 +16,7 @@ use crate::spec::{SandboxConfig, SandboxId, SandboxState, Signal};
 /// Runs one OCI verb under a telemetry span on the calling process's lane.
 ///
 /// Every runtime (`runc`/`runf`/`rung`) funnels its five verbs through this,
-/// so traces show each sandbox transition and the metrics registry counts
-/// verb outcomes per runtime. Free when telemetry is disabled.
+/// so traces show each sandbox transition. Free when telemetry is disabled.
 pub(crate) fn verb_span<T>(
     ctx: &mut ProcCtx,
     runtime: &'static str,
@@ -35,8 +34,6 @@ pub(crate) fn verb_span<T>(
             &format!("{runtime}:{verb} {id}"),
             ctx.trace_ctx(),
         );
-        let status = if out.is_ok() { "ok" } else { "err" };
-        r.metrics().counter_add(&format!("vsandbox.{runtime}.{verb}.{status}"), 1);
     });
     out
 }

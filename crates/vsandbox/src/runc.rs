@@ -411,16 +411,6 @@ impl RuncRuntime {
         self.inner.os.pss_bytes(pid, self.inner.memory.page_bytes)
     }
 
-    /// Sum of RSS over every live sandbox (templates included) — the naive
-    /// "what `ps` adds up to" number, which double-counts shared pages.
-    pub fn fleet_rss_bytes(&self) -> u64 {
-        let pids: Vec<OsPid> =
-            self.inner.state.lock().sandboxes.values().filter_map(|c| c.os_pid).collect();
-        pids.iter()
-            .filter_map(|&pid| self.inner.os.rss_bytes(pid, self.inner.memory.page_bytes))
-            .sum()
-    }
-
     /// Sum of PSS over every live sandbox (templates included): shared pages
     /// are charged fractionally, so this is the fleet's true resident
     /// footprint — the number the density gate divides by the sandbox count.
@@ -787,20 +777,17 @@ mod tests {
             (
                 rt2.rss_bytes(&"d0".into()).unwrap(),
                 rt2.pss_bytes(&"d0".into()).unwrap(),
-                rt2.fleet_rss_bytes(),
                 rt2.fleet_pss_bytes(),
             )
         });
         sim.run().unwrap();
-        let (rss, pss, fleet_rss, fleet_pss) = h.take_result().unwrap();
+        let (rss, pss, fleet_pss) = h.take_result().unwrap();
         let page = 4096u64;
         // Dense child: 1500 template pages COW-shared + 512 private.
         assert_eq!(rss, (1500 + 512) * page);
         // Template shared 9 ways (template itself + 8 children).
         assert_eq!(pss, (512.0 + 1500.0 / 9.0) * page as f64);
-        // Fleet RSS double-counts the shared template; fleet PSS does not:
-        // 9 * (512 + 1500/9) + template's own share ≈ 1500 + 9*512.
-        assert_eq!(fleet_rss, 9 * 1500 * page + 8 * 512 * page);
+        // Fleet PSS charges the shared template once: 1500 + 8 * 512.
         let expected_fleet_pss = (1500 + 8 * 512) as f64 * page as f64;
         assert!(
             (fleet_pss - expected_fleet_pss).abs() < 1.0,

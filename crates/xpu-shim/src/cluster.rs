@@ -30,7 +30,7 @@ use hetsim::topology::Machine;
 use molecule_tenancy::TenantId;
 use parking_lot::Mutex;
 
-use crate::cap::{CapError, CapTable, ObjKind, Perm};
+use crate::cap::{CapTable, ObjKind, Perm};
 use crate::error::ShimError;
 use crate::fifo::{FifoMsg, FifoPayload, XpuFifoReader, XpuFifoWriter};
 use crate::id::{GlobalUuid, ObjId, XpuPid};
@@ -573,9 +573,7 @@ impl ShimCluster {
         fifo: &GlobalUuid,
         desc: &SegDescriptor,
     ) -> Result<Bytes, ShimError> {
-        let bytes = self.arena_of(desc)?.resolve(fifo, desc)?;
-        telemetry::with(|r| r.metrics().counter_add("shim.descriptors_resolved", 1));
-        Ok(bytes)
+        self.arena_of(desc)?.resolve(fifo, desc)
     }
 
     /// Shared-segment slots placed but not yet resolved (descriptor still in
@@ -685,14 +683,12 @@ impl ShimCluster {
         }
         if plane.is_dead(host) {
             ctx.sleep(XCALL_TIMEOUT);
-            telemetry::with(|r| r.metrics().counter_add("shim.xcall_peer_dead", 1));
             return Err(ShimError::PeerDead(host));
         }
         if let Some(until) = plane.hang_until(ctx.now(), host) {
             let stall = until - ctx.now();
             if stall > XCALL_TIMEOUT {
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.xcall_timeouts", 1));
                 return Err(ShimError::XcallTimeout(host));
             }
             // The shim daemon recovers within the deadline: the call just
@@ -760,11 +756,6 @@ impl ShimCluster {
                 "xpucall",
                 ctx.trace_ctx(),
             );
-            r.metrics().counter_add(&format!("shim.xpucalls.{}", transport.name()), 1);
-            if coalesced {
-                r.metrics().counter_add("shim.batched_xcalls", 1);
-            }
-            r.metrics().observe_ns("shim.xpucall_ns", cost.as_nanos());
         });
         Ok(())
     }
@@ -794,7 +785,6 @@ impl ShimCluster {
                 "sync-immediate",
                 ctx.trace_ctx(),
             );
-            r.metrics().counter_add("shim.sync_messages", peers);
         });
     }
 
@@ -823,10 +813,7 @@ impl ShimCluster {
             st.stats.lazy_flushes += 1;
             st.stats.sync_messages += (self.inner.gp_pus.len() as u64).saturating_sub(1);
         }
-        telemetry::with(|r| {
-            r.instant(from.0, ctx.now().as_nanos(), "lazy-flush", ctx.trace_ctx());
-            r.metrics().counter_add("shim.lazy_flushes", 1);
-        });
+        telemetry::instant(from.0, ctx.now().as_nanos(), "lazy-flush", ctx.trace_ctx());
         // One batched broadcast, regardless of how many entries flushed.
         self.sync_broadcast_cost(ctx, from);
     }
@@ -881,12 +868,7 @@ impl ShimCluster {
         perm: Perm,
     ) -> Result<(), ShimError> {
         self.charge_xpucall(ctx, host, host, 32)?;
-        if let Err(e) = self.inner.state.lock().cp.get_mut().caps.grant(actor, to, obj, perm) {
-            if let CapError::TenantMismatch { owner, .. } = e {
-                telemetry::counter_add_tenant("shim.tenant_denied", owner.raw(), 1);
-            }
-            return Err(e.into());
-        }
+        self.inner.state.lock().cp.get_mut().caps.grant(actor, to, obj, perm)?;
         // Capability updates are synchronized immediately so checks are
         // always local (§5).
         self.sync_immediate(ctx, host);
@@ -1002,7 +984,6 @@ impl ShimCluster {
             if plane.is_dead(to) {
                 self.charge_xpucall(ctx, from, to, size)?;
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.xcall_peer_dead", 1));
                 return Err(ShimError::PeerDead(to));
             }
             // A relayed route transits node hosts, so a partition of any
@@ -1012,7 +993,6 @@ impl ShimCluster {
             if self.inner.machine.path_cut(from, to) {
                 self.charge_xpucall(ctx, from, to, size)?;
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.xcall_timeouts", 1));
                 return Err(ShimError::XcallTimeout(to));
             }
         }
@@ -1058,10 +1038,6 @@ impl ShimCluster {
                     st.stats.descriptor_handoffs += 1;
                     st.stats.bytes_elided += size;
                 }
-                telemetry::with(|r| {
-                    r.metrics().counter_add("shim.descriptor_handoffs", 1);
-                    r.metrics().counter_add("shim.bytes_elided", size);
-                });
                 let remote_deliver = self.os_costs_of(to).ipc_segment;
                 route.transfer_time(size + seg.descriptor_bytes) + remote_deliver
             } else {
@@ -1109,11 +1085,6 @@ impl ShimCluster {
                 &name,
                 ctx.trace_ctx(),
             ));
-            r.metrics().counter_add("shim.fifo_writes", 1);
-            r.metrics().observe_ns(
-                if from == to { "shim.fifo_write_local_ns" } else { "shim.nipc_write_ns" },
-                (ctx.now() - t0).as_nanos(),
-            );
         });
         if from != to && plane.sample_fifo_loss(from, to) {
             // The message vanishes on the wire: the sender has paid full
@@ -1121,7 +1092,6 @@ impl ShimCluster {
             // happens at the protocol layer above.
             self.inner.state.lock().stats.dropped_messages += 1;
             plane.note(ctx.now(), &format!("fault: drop {} {from}->{to}", writer.uuid));
-            telemetry::with(|r| r.metrics().counter_add("shim.fifo_drops", 1));
             return Ok(());
         }
         // Only a fault-injected duplicate shares the payload; otherwise it
@@ -1142,7 +1112,6 @@ impl ShimCluster {
         if let Some(payload) = duplicate {
             self.inner.state.lock().stats.duplicated_messages += 1;
             plane.note(ctx.now(), &format!("fault: dup {} {from}->{to}", writer.uuid));
-            telemetry::with(|r| r.metrics().counter_add("shim.fifo_dups", 1));
             let _ =
                 tx.send_delayed(in_flight, FifoMsg { payload: FifoPayload::Inline(payload), span });
         }
@@ -1170,7 +1139,6 @@ impl ShimCluster {
                 Err(e) if e.is_retryable() && attempt + 1 < RETRY_MAX_ATTEMPTS => {
                     attempt += 1;
                     self.inner.state.lock().stats.xcall_retries += 1;
-                    telemetry::with(|r| r.metrics().counter_add("shim.xcall_retries", 1));
                     ctx.sleep(backoff);
                     backoff = backoff * RETRY_BACKOFF_FACTOR;
                 }
@@ -1240,7 +1208,6 @@ impl ShimCluster {
             obj
         };
         self.sync_immediate(ctx, owner.pu);
-        telemetry::with(|r| r.metrics().counter_add("shim.regions_registered", 1));
         Ok(obj)
     }
 
@@ -1313,13 +1280,11 @@ impl ShimCluster {
             if plane.is_dead(to) {
                 self.charge_xpucall(ctx, src, to, size)?;
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.xcall_peer_dead", 1));
                 return Err(ShimError::PeerDead(to));
             }
             if self.inner.machine.path_cut(src, to) {
                 self.charge_xpucall(ctx, src, to, size)?;
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.xcall_timeouts", 1));
                 return Err(ShimError::XcallTimeout(to));
             }
         }
@@ -1348,17 +1313,11 @@ impl ShimCluster {
                 st.stats.bytes_elided += size;
             }
             ctx.sleep(route.transfer_time(size + seg.descriptor_bytes));
-            telemetry::with(|r| {
-                r.metrics().counter_add("shim.region_pushes", 1);
-                r.metrics().counter_add("shim.descriptor_handoffs", 1);
-                r.metrics().counter_add("shim.bytes_elided", size);
-            });
             let desc = self.place_segment(src, to, uuid.clone(), payload);
             Ok(Some(desc))
         } else {
             self.charge_xpucall(ctx, src, to, size)?;
             ctx.sleep(route.transfer_time(size) + self.os_costs_of(to).ipc_segment);
-            telemetry::with(|r| r.metrics().counter_add("shim.region_pushes", 1));
             Ok(None)
         }
     }
@@ -1392,9 +1351,7 @@ impl ShimCluster {
             }
         }
         ctx.sleep(self.segment_costs().map);
-        let bytes = self.arena_of(desc)?.resolve(uuid, desc)?;
-        telemetry::with(|r| r.metrics().counter_add("shim.descriptors_resolved", 1));
-        Ok(bytes)
+        self.arena_of(desc)?.resolve(uuid, desc)
     }
 
     pub(crate) fn xspawn<F>(
@@ -1454,7 +1411,6 @@ impl ShimCluster {
             &format!("xspawn {program}->pu{}", target.0),
             ctx.trace_ctx(),
         );
-        telemetry::with(|r| r.metrics().counter_add("shim.xspawns", 1));
         if let Some(f) = body {
             let name = format!("{program}@{target}");
             let lane = target.0;
@@ -1498,12 +1454,10 @@ impl ShimCluster {
             let plane = self.inner.machine.fault_plane();
             if plane.is_dead(target) {
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.probe_failures", 1));
                 return Err(ShimError::PeerDead(target));
             }
             if self.inner.machine.path_cut(from, target) {
                 ctx.sleep(XCALL_TIMEOUT);
-                telemetry::with(|r| r.metrics().counter_add("shim.probe_failures", 1));
                 return Err(ShimError::XcallTimeout(target));
             }
             let rtt = self.inner.machine.route(from, target).transfer_time(PROBE_BYTES) * 2;
@@ -1511,7 +1465,6 @@ impl ShimCluster {
                 let stall = (until - ctx.now()) + rtt;
                 if stall > XCALL_TIMEOUT {
                     ctx.sleep(XCALL_TIMEOUT);
-                    telemetry::with(|r| r.metrics().counter_add("shim.probe_failures", 1));
                     return Err(ShimError::XcallTimeout(target));
                 }
                 ctx.sleep(stall);
@@ -1636,11 +1589,7 @@ impl ShimCluster {
                 report.caps_dropped
             ),
         );
-        telemetry::with(|r| {
-            r.complete_span(host.0, t0.as_nanos(), ctx.now().as_nanos(), "reclaim-pu", None);
-            r.metrics().counter_add("shim.pu_reclaims", 1);
-            r.metrics().counter_add("shim.reclaimed_uuids", (reclaimed + regions_reclaimed) as u64);
-        });
+        telemetry::span(host.0, t0.as_nanos(), ctx.now().as_nanos(), "reclaim-pu", None);
         report
     }
 

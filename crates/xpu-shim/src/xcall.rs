@@ -34,15 +34,6 @@ impl XcallTransport {
     pub const ALL: [XcallTransport; 3] =
         [XcallTransport::Base, XcallTransport::Mpsc, XcallTransport::MpscPoll];
 
-    /// Short machine-readable name, used as a metrics label.
-    pub fn name(self) -> &'static str {
-        match self {
-            XcallTransport::Base => "base",
-            XcallTransport::Mpsc => "mpsc",
-            XcallTransport::MpscPoll => "mpsc_poll",
-        }
-    }
-
     /// The time a user process spends performing one XPUcall carrying
     /// `payload_bytes` of arguments, excluding any interconnect transfer.
     pub fn invoke_cost(self, os: &OsCosts, xc: &XpuCallCosts, payload_bytes: u64) -> SimDuration {
